@@ -18,23 +18,14 @@ from .classify import (
     classify_biquadratic,
     classify_cyclotomic,
     classify_kummer,
-    classify_prop41,
     classify_quadratic,
 )
-from .cyclotomic import (
-    CyclotomicField,
-    FactorizationShape,
-    canonical_n,
-    factorization_shape,
-    make_cyclotomic,
-    maximal_real_subfield_degree,
-    quadratic_subfield,
-    splits_completely,
-)
+from .cyclotomic import FactorizationShape, canonical_n, factorization_shape
 from .errors import (
     BadModulusError,
     DisallowedValueError,
     EqualPrimesError,
+    InternalInvariantError,
     InvalidInputError,
     NonSquarefreeError,
     UnsupportedFieldError,
@@ -47,7 +38,7 @@ from .hilbert import (
     hilbert_symbol,
     ramified_places,
 )
-from .oracle import LocalDegreeProfile, division_oracle, local_degree
+from .oracle import division_oracle, local_degree
 from .quadratic import QuadraticField, SplittingType, make_quadratic, splitting_type
 
 __version__ = "0.1.0"
@@ -57,15 +48,14 @@ __all__ = [
     "Biquadratic",
     "Certainty",
     "Cyclotomic",
-    "CyclotomicField",
     "DisallowedValueError",
     "EqualPrimesError",
     "FactorizationShape",
     "FieldDescriptor",
     "INFINITE_PLACE",
+    "InternalInvariantError",
     "InvalidInputError",
     "Kummer",
-    "LocalDegreeProfile",
     "NonSquarefreeError",
     "Outcome",
     "Place",
@@ -82,7 +72,6 @@ __all__ = [
     "classify_biquadratic",
     "classify_cyclotomic",
     "classify_kummer",
-    "classify_prop41",
     "classify_quadratic",
     "discriminant_fast_path",
     "division_oracle",
@@ -92,13 +81,9 @@ __all__ = [
     "is_prime",
     "legendre",
     "local_degree",
-    "make_cyclotomic",
     "make_quadratic",
-    "maximal_real_subfield_degree",
     "multiplicative_order",
     "primes_up_to",
-    "quadratic_subfield",
     "ramified_places",
-    "splits_completely",
     "splitting_type",
 ]

@@ -85,6 +85,11 @@ def legendre(a: int, p: int) -> int:
     """
     if p < 3 or not is_prime(p):
         raise InvalidInputError(f"legendre modulus must be an odd prime, got {p}")
+    return legendre_unchecked(a, p)
+
+
+def legendre_unchecked(a: int, p: int) -> int:
+    """legendre(a, p) for a p that the caller has already proved an odd prime."""
     a %= p
     if a == 0:
         return 0

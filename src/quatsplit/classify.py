@@ -19,6 +19,13 @@ strings asserted by the test suite and rendered by the CLI:
 
 The "a"/"b" suffixes name the two symmetric branches of the both-odd,
 both ≡ 3 (mod 4) case: "a" checks the symbol condition at p1, "b" at p2.
+
+Every exact verdict comes from one evaluator, Theorem 3.1/3.4 over a tuple
+of quadratic subfield discriminants plus an "every d ≡ 1 (mod 8)" escape
+flag.  The cyclotomic ids above come from one reduction table, which maps
+each canonical n (and l**k) to its subfield and to the ids the paper
+publishes; where a proposition publishes one id for two raw cases of the
+theorem, the two are OR-merged into that one step.
 """
 
 from __future__ import annotations
@@ -109,226 +116,155 @@ class Kummer:
 FieldDescriptor = Union[Rational, Quadratic, Biquadratic, Cyclotomic, Kummer]
 
 
-def _exact(division: bool, steps: list[TraceStep]) -> Verdict:
-    outcome = Outcome.DIVISION if division else Outcome.SPLIT
-    return Verdict(outcome=outcome, certainty=Certainty.EXACT, trace=tuple(steps))
+# --- the thm3.1/thm3.4 criterion ---------------------------------------------
+
+# The criterion has five raw cases, in this order: with both primes odd,
+# case1, case3a and case3b; with one prime 2, case2 for the odd prime p ≡ 3
+# and p ≡ 5 (mod 8).  At most one fires.  _criterion picks the verdict for
+# the case that fired, or for _NONE_ODD / _NONE_TWO when none did.
+_NONE_ODD, _NONE_TWO = 5, 6
 
 
-def _odd_member(p1: int, p2: int) -> int:
-    return p1 if p2 == 2 else p2
+def _verdicts(ids: tuple[str, ...], reduction: str | None = None) -> tuple[Verdict, ...]:
+    """The verdict for each result of the criterion, the five raw cases named by ids.
+
+    Raw cases that share an id are OR-merged into one trace step: that is how
+    a proposition that publishes one id for two raw cases keeps its id.  A
+    reduction step, if given, leads every trace.
+    """
+    head = (TraceStep(reduction, True),) if reduction else ()
+    odd_labels, two_labels = dict.fromkeys(ids[:3]), dict.fromkeys(ids[3:])
+    verdicts = []
+    for result in range(7):
+        hit = ids[result] if result < 5 else None
+        labels = odd_labels if result in (0, 1, 2, _NONE_ODD) else two_labels
+        trace = head + tuple(TraceStep(label, label == hit) for label in labels)
+        outcome = Outcome.SPLIT if hit is None else Outcome.DIVISION
+        verdicts.append(Verdict(outcome=outcome, certainty=Certainty.EXACT, trace=trace))
+    return tuple(verdicts)
 
 
-# --- quadratic base (single discriminant symbol) ----------------------------
+def _splits(discs: tuple[int, ...], p: int) -> bool:
+    """True when the odd prime p splits in every Q(sqrt d) with discriminant in discs."""
+    for disc in discs:
+        if arith.legendre_unchecked(disc, p) != 1:
+            return False
+    return True
 
 
-def _single_symbol_cases(label: str, disc: int, d: int, p1: int, p2: int) -> list[TraceStep]:
-    """The three-case criterion for K = Q(sqrt(d)) with discriminant disc.
+def _criterion(
+    discs: tuple[int, ...], escape: bool, verdicts: tuple[Verdict, ...], p1: int, p2: int
+) -> Verdict:
+    """Theorem 3.1 over Q(sqrt d) (one discriminant), 3.4 over Q(sqrt d1, sqrt d2) (two).
 
-    Case 2 applies when one prime is 2 and requires, for the odd prime p,
-    p ≡ 3 or 5 (mod 8) together with (disc|p) = 1 or d ≡ 1 (mod 8); the
-    congruence on p alone is not enough unless d ≡ 1 (mod 8).
+    H(p1, p2) is a division algebra exactly when one raw case holds:
+      case1   p1 or p2 ≡ 1 (mod 4), (p1|p2) = -1, and p1 or p2 splits;
+      case3a  p1 ≡ p2 ≡ 3 (mod 4), (p2|p1) = -1, and p1 splits or escape;
+      case3b  the same with p1 and p2 exchanged;
+      case2   one prime is 2, the other p ≡ 3 or 5 (mod 8), and p splits or escape;
+    where "splits" means in every subfield, and escape says that every d ≡ 1
+    (mod 8), so that 2 splits.  The caller has proved p1, p2 distinct primes.
     """
     if p1 != 2 and p2 != 2:
-        case1 = (
-            (p1 % 4 == 1 or p2 % 4 == 1)
-            and arith.legendre(p1, p2) == -1
-            and (arith.legendre(disc, p1) == 1 or arith.legendre(disc, p2) == 1)
+        symbol = arith.legendre_unchecked(p1, p2)
+        if p1 % 4 == 3 and p2 % 4 == 3:
+            # Reciprocity: (p2|p1) = -(p1|p2), so case3a needs (p1|p2) = 1.
+            if symbol == 1:
+                return verdicts[1 if escape or _splits(discs, p1) else _NONE_ODD]
+            return verdicts[2 if escape or _splits(discs, p2) else _NONE_ODD]
+        if symbol == -1 and (_splits(discs, p1) or _splits(discs, p2)):
+            return verdicts[0]
+        return verdicts[_NONE_ODD]
+    p = p1 if p2 == 2 else p2
+    residue = p % 8
+    if (residue == 3 or residue == 5) and (escape or _splits(discs, p)):
+        return verdicts[3 if residue == 3 else 4]
+    return verdicts[_NONE_TWO]
+
+
+class _Row(NamedTuple):
+    discs: tuple[int, ...]
+    escape: bool
+    verdicts: tuple[Verdict, ...]
+
+
+def _prop_ids(
+    prop: str, case1: str = "case1", case3a: str = "case3a", case3b: str = "case3b"
+) -> tuple[str, ...]:
+    return tuple(f"{prop}/{case}" for case in (case1, case3a, case3b, "case2", "case2"))
+
+
+_THM31_IDS = ("thm3.1/case1", "thm3.1/case3a", "thm3.1/case3b", "thm3.1/case2/p≡3mod8", "thm3.1/case2/p≡5mod8")
+_THM34_IDS = ("thm3.4/case1", "thm3.4/case3a", "thm3.4/case3b", "thm3.4/case2/p≡3mod8", "thm3.4/case2/p≡5mod8")
+_THM31 = _verdicts(_THM31_IDS)
+_THM34 = _verdicts(_THM34_IDS)
+_PROP41 = _verdicts(_prop_ids("prop4.1"))
+
+# The reduction table: canonical n -> the quadratic or biquadratic subfield of
+# Q(zeta_n) whose criterion decides H(p1, p2), and the ids the paper publishes
+# for it.  Props 3.5 and 3.8 publish fewer ids because splitting in
+# Q(i, sqrt 2) needs p ≡ 1 (mod 8) and in Q(i, sqrt -3) p ≡ 1 (mod 12): only
+# case1 and, for n = 12, case2 with p ≡ 5 (mod 8) can fire there.
+_CYCLOTOMIC = {
+    3: _Row((-3,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ3)→Q(√-3)")),
+    4: _Row((-4,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ4)→Q(i)")),
+    7: _Row((-7,), True, _verdicts(_prop_ids("prop3.3", case3a="case3", case3b="case3"))),
+    8: _Row((-4, 8), False, _verdicts(("prop3.5/main",) * 5)),
+    9: _Row((-3,), False, _verdicts(_prop_ids("prop3.6"))),
+    11: _Row((-11,), False, _verdicts(_prop_ids("prop3.7"))),
+    12: _Row((-4, -3), False, _verdicts(_prop_ids("prop3.8", case3a="case1", case3b="case1"))),
+}
+
+
+def _prime_power_row(n: int) -> _Row:
+    """Prop 4.1: Q(zeta_{l**k}) with l ≡ 3 (mod 4) decides like Q(sqrt -l), whatever k."""
+    factors = arith.factorize(n)
+    ell = factors[0][0]
+    if len(factors) != 1 or ell % 4 != 3:
+        raise UnsupportedFieldError(
+            f"no criterion for cyclotomic n = {n}; supported: 3-12 and prime powers l**k with l ≡ 3 (mod 4)"
         )
-        both_3_mod_4 = p1 % 4 == 3 and p2 % 4 == 3
-        case3a = both_3_mod_4 and arith.legendre(p2, p1) != 1 and (
-            arith.legendre(disc, p1) == 1 or d % 8 == 1
-        )
-        case3b = both_3_mod_4 and arith.legendre(p1, p2) != 1 and (
-            arith.legendre(disc, p2) == 1 or d % 8 == 1
-        )
-        return [
-            TraceStep(f"{label}/case1", case1),
-            TraceStep(f"{label}/case3a", case3a),
-            TraceStep(f"{label}/case3b", case3b),
-        ]
-    p = _odd_member(p1, p2)
-    unit_ok = arith.legendre(disc, p) == 1 or d % 8 == 1
-    return [
-        TraceStep(f"{label}/case2/p≡3mod8", p % 8 == 3 and unit_ok),
-        TraceStep(f"{label}/case2/p≡5mod8", p % 8 == 5 and unit_ok),
-    ]
+    return _Row((-ell,), ell % 8 == 7, _PROP41)
+
+
+def _reduced(label: str, verdict: Verdict) -> Verdict:
+    trace = (TraceStep(label, True),) + verdict.trace
+    return Verdict(outcome=verdict.outcome, certainty=verdict.certainty, trace=trace)
+
+
+# --- public entry points ------------------------------------------------------
 
 
 def classify_quadratic(d: int, p1: int, p2: int) -> Verdict:
     """Exact division/split decision for H(p1, p2) over Q(sqrt(d))."""
     field = quadratic.make_quadratic(d)
     arith.require_distinct_primes(p1, p2)
-    steps = _single_symbol_cases("thm3.1", field.discriminant, d, p1, p2)
-    return _exact(any(s.fired for s in steps), steps)
-
-
-# --- biquadratic base (paired discriminant symbols) --------------------------
+    return _criterion((field.discriminant,), d % 8 == 1, _THM31, p1, p2)
 
 
 def classify_biquadratic(d1: int, d2: int, p1: int, p2: int) -> Verdict:
     """Exact decision for H(p1, p2) over Q(sqrt(d1), sqrt(d2)).
 
-    The shape mirrors the quadratic criterion with every discriminant symbol
-    condition required in both subfields at once, and d ≡ 1 (mod 8) required
-    of both d1 and d2.
+    The quadratic criterion with every splitting condition required in both
+    subfields at once, and d ≡ 1 (mod 8) required of both d1 and d2.
     """
     k1 = quadratic.make_quadratic(d1)
     k2 = quadratic.make_quadratic(d2)
     if d1 == d2:
         raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
     arith.require_distinct_primes(p1, p2)
-
-    def splits_in_both(x: int) -> bool:
-        return arith.legendre(k1.discriminant, x) == 1 and arith.legendre(k2.discriminant, x) == 1
-
-    units_ok = d1 % 8 == 1 and d2 % 8 == 1
-    if p1 != 2 and p2 != 2:
-        case1 = (
-            (p1 % 4 == 1 or p2 % 4 == 1)
-            and arith.legendre(p1, p2) == -1
-            and (splits_in_both(p1) or splits_in_both(p2))
-        )
-        both_3_mod_4 = p1 % 4 == 3 and p2 % 4 == 3
-        case3a = both_3_mod_4 and arith.legendre(p2, p1) != 1 and (splits_in_both(p1) or units_ok)
-        case3b = both_3_mod_4 and arith.legendre(p1, p2) != 1 and (splits_in_both(p2) or units_ok)
-        steps = [
-            TraceStep("thm3.4/case1", case1),
-            TraceStep("thm3.4/case3a", case3a),
-            TraceStep("thm3.4/case3b", case3b),
-        ]
-    else:
-        p = _odd_member(p1, p2)
-        bracket = splits_in_both(p) or units_ok
-        steps = [
-            TraceStep("thm3.4/case2/p≡3mod8", p % 8 == 3 and bracket),
-            TraceStep("thm3.4/case2/p≡5mod8", p % 8 == 5 and bracket),
-        ]
-    return _exact(any(s.fired for s in steps), steps)
+    return _criterion((k1.discriminant, k2.discriminant), d1 % 8 == 1 and d2 % 8 == 1, _THM34, p1, p2)
 
 
-# --- cyclotomic base ---------------------------------------------------------
-
-
-def _n7_cases(p1: int, p2: int) -> list[TraceStep]:
-    # d = -7 ≡ 1 (mod 8): 2 splits in Q(sqrt(-7)), so the q = 2 and the
-    # both ≡ 3 (mod 4) cases carry no symbol conditions at all.
-    if p1 != 2 and p2 != 2:
-        case1 = (
-            (p1 % 4 == 1 or p2 % 4 == 1)
-            and arith.legendre(p1, p2) == -1
-            and (arith.legendre(-7, p1) == 1 or arith.legendre(-7, p2) == 1)
-        )
-        case3 = p1 % 4 == 3 and p2 % 4 == 3
-        return [TraceStep("prop3.3/case1", case1), TraceStep("prop3.3/case3", case3)]
-    p = _odd_member(p1, p2)
-    return [TraceStep("prop3.3/case2", p % 8 in (3, 5))]
-
-
-def _n8_cases(p1: int, p2: int) -> list[TraceStep]:
-    hit = (
-        p1 != 2
-        and p2 != 2
-        and (p1 % 8 == 1 or p2 % 8 == 1)
-        and arith.legendre(p1, p2) == -1
-    )
-    return [TraceStep("prop3.5/main", hit)]
-
-
-def _n9_cases(p1: int, p2: int) -> list[TraceStep]:
-    # Case 1 keeps the two disjunctions of the underlying quadratic criterion
-    # (d = -3) independent: the prime that is 1 mod 4 and the prime with
-    # (-3|p) = 1 need not coincide, so a single "1 mod 12" test is too narrow.
-    if p1 != 2 and p2 != 2:
-        case1 = (
-            (p1 % 4 == 1 or p2 % 4 == 1)
-            and arith.legendre(p1, p2) == -1
-            and (arith.legendre(-3, p1) == 1 or arith.legendre(-3, p2) == 1)
-        )
-        both_3_mod_4 = p1 % 4 == 3 and p2 % 4 == 3
-        case3a = both_3_mod_4 and arith.legendre(p2, p1) != 1 and arith.legendre(-3, p1) == 1
-        case3b = both_3_mod_4 and arith.legendre(p1, p2) != 1 and arith.legendre(-3, p2) == 1
-        return [
-            TraceStep("prop3.6/case1", case1),
-            TraceStep("prop3.6/case3a", case3a),
-            TraceStep("prop3.6/case3b", case3b),
-        ]
-    p = _odd_member(p1, p2)
-    return [TraceStep("prop3.6/case2", p % 24 in (19, 13))]
-
-
-def _n11_cases(p1: int, p2: int) -> list[TraceStep]:
-    if p1 != 2 and p2 != 2:
-        case1 = (
-            (p1 % 4 == 1 or p2 % 4 == 1)
-            and arith.legendre(p1, p2) == -1
-            and (arith.legendre(-11, p1) == 1 or arith.legendre(-11, p2) == 1)
-        )
-        both_3_mod_4 = p1 % 4 == 3 and p2 % 4 == 3
-        case3a = both_3_mod_4 and arith.legendre(p2, p1) != 1 and arith.legendre(-11, p1) == 1
-        case3b = both_3_mod_4 and arith.legendre(p1, p2) != 1 and arith.legendre(-11, p2) == 1
-        return [
-            TraceStep("prop3.7/case1", case1),
-            TraceStep("prop3.7/case3a", case3a),
-            TraceStep("prop3.7/case3b", case3b),
-        ]
-    p = _odd_member(p1, p2)
-    return [TraceStep("prop3.7/case2", p % 8 in (3, 5) and arith.legendre(-11, p) == 1)]
-
-
-def _n12_cases(p1: int, p2: int) -> list[TraceStep]:
-    if p1 != 2 and p2 != 2:
-        case1 = (p1 % 12 == 1 or p2 % 12 == 1) and arith.legendre(p1, p2) == -1
-        return [TraceStep("prop3.8/case1", case1)]
-    p = _odd_member(p1, p2)
-    return [TraceStep("prop3.8/case2", p % 24 == 13)]
-
-
-def _n5_verdict(p1: int, p2: int, steps: list[TraceStep]) -> Verdict:
+def _n5_verdict(p1: int, p2: int) -> Verdict:
     # Sufficient condition only; tried in both argument orders since
     # H(p1, p2) and H(p2, p1) are isomorphic.  No split criterion is known
     # for this field, so the fallback is Unknown rather than Split.
-    hit1 = p1 % 5 == 1 and arith.legendre(p2, p1) == -1
-    hit2 = p2 % 5 == 1 and arith.legendre(p1, p2) == -1
-    steps.append(TraceStep("prop3.9/p1≡1mod5", hit1))
-    steps.append(TraceStep("prop3.9/p2≡1mod5", hit2))
+    hit1 = p1 % 5 == 1 and arith.legendre_unchecked(p2, p1) == -1
+    hit2 = p2 % 5 == 1 and arith.legendre_unchecked(p1, p2) == -1
+    steps = (TraceStep("prop3.9/p1≡1mod5", hit1), TraceStep("prop3.9/p2≡1mod5", hit2))
     outcome = Outcome.DIVISION if hit1 or hit2 else Outcome.UNKNOWN
-    return Verdict(outcome=outcome, certainty=Certainty.SUFFICIENT_ONLY, trace=tuple(steps))
-
-
-def _prime_power_cases(label: str, ell: int, p1: int, p2: int) -> list[TraceStep]:
-    """The prime-power criterion for Q(zeta_{ell**k}), ell ≡ 3 (mod 4).
-
-    Identical for every exponent k, so k does not appear.  The symbol
-    (-ell|p) may be replaced by the escape hatch ell ≡ 7 (mod 8) in the
-    q = 2 and both ≡ 3 (mod 4) cases (then 2 splits in Q(sqrt(-ell))).
-    """
-    seven = ell % 8 == 7
-    if p1 != 2 and p2 != 2:
-        case1 = (
-            (p1 % 4 == 1 or p2 % 4 == 1)
-            and arith.legendre(p1, p2) == -1
-            and (arith.legendre(-ell, p1) == 1 or arith.legendre(-ell, p2) == 1)
-        )
-        both_3_mod_4 = p1 % 4 == 3 and p2 % 4 == 3
-        case3a = both_3_mod_4 and arith.legendre(p2, p1) != 1 and (
-            arith.legendre(-ell, p1) == 1 or seven
-        )
-        case3b = both_3_mod_4 and arith.legendre(p1, p2) != 1 and (
-            arith.legendre(-ell, p2) == 1 or seven
-        )
-        return [
-            TraceStep(f"{label}/case1", case1),
-            TraceStep(f"{label}/case3a", case3a),
-            TraceStep(f"{label}/case3b", case3b),
-        ]
-    p = _odd_member(p1, p2)
-    case2 = p % 8 in (3, 5) and (arith.legendre(-ell, p) == 1 or seven)
-    return [TraceStep(f"{label}/case2", case2)]
-
-
-def _prime_power_root(n: int) -> int | None:
-    factors = arith.factorize(n)
-    return factors[0][0] if len(factors) == 1 else None
+    return Verdict(outcome=outcome, certainty=Certainty.SUFFICIENT_ONLY, trace=steps)
 
 
 def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
@@ -341,52 +277,11 @@ def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
     """
     m = cyclotomic.canonical_n(n)
     arith.require_distinct_primes(p1, p2)
-    steps: list[TraceStep] = []
-    if m != n:
-        steps.append(TraceStep(f"reduction/n{n}→n{m}", True))
-    if m == 3:
-        steps.append(TraceStep("reduction/Q(ζ3)→Q(√-3)", True))
-        steps += _single_symbol_cases("thm3.1", -3, -3, p1, p2)
-    elif m == 4:
-        steps.append(TraceStep("reduction/Q(ζ4)→Q(i)", True))
-        steps += _single_symbol_cases("thm3.1", -4, -1, p1, p2)
-    elif m == 5:
-        return _n5_verdict(p1, p2, steps)
-    elif m == 7:
-        steps += _n7_cases(p1, p2)
-    elif m == 8:
-        steps += _n8_cases(p1, p2)
-    elif m == 9:
-        steps += _n9_cases(p1, p2)
-    elif m == 11:
-        steps += _n11_cases(p1, p2)
-    elif m == 12:
-        steps += _n12_cases(p1, p2)
+    if m == 5:
+        verdict = _n5_verdict(p1, p2)
     else:
-        ell = _prime_power_root(m)
-        if ell is None or ell % 4 != 3:
-            raise UnsupportedFieldError(
-                f"no criterion for cyclotomic n = {m}; supported: 3-12 and prime powers l**k with l ≡ 3 (mod 4)"
-            )
-        steps += _prime_power_cases("prop4.1", ell, p1, p2)
-    division = any(s.fired for s in steps if not s.criterion.startswith("reduction/"))
-    return _exact(division, steps)
-
-
-def classify_prop41(ell: int, k: int, p1: int, p2: int) -> Verdict:
-    """Direct prime-power criterion for Q(zeta_{ell**k}); verdict independent of k.
-
-    p1 = ell or p2 = ell is rejected as outside the criterion's stated scope;
-    classify_cyclotomic and the oracle both handle that case.
-    """
-    _require_ell_power(ell, k)
-    arith.require_distinct_primes(p1, p2)
-    if ell in (p1, p2):
-        raise InvalidInputError(
-            f"the prime-power criterion is not stated for p = {ell}; use classify_cyclotomic"
-        )
-    steps = _prime_power_cases("prop4.1", ell, p1, p2)
-    return _exact(any(s.fired for s in steps), steps)
+        verdict = _criterion(*(_CYCLOTOMIC.get(m) or _prime_power_row(m)), p1, p2)
+    return verdict if m == n else _reduced(f"reduction/n{n}→n{m}", verdict)
 
 
 def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
@@ -394,13 +289,11 @@ def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
 
     The radical layer has odd degree over Q(zeta_{ell**k}), so the verdict is
     the cyclotomic one whatever the radicand is; it is therefore not a
-    parameter.
+    parameter.  ell**k must be below 2**64.
     """
     _require_ell_power(ell, k)
     n = ell**k
-    inner = classify_cyclotomic(n, p1, p2)
-    steps = (TraceStep(f"reduction/kummer({ell}^{k})→cyclotomic({n})", True),) + inner.trace
-    return Verdict(outcome=inner.outcome, certainty=inner.certainty, trace=steps)
+    return _reduced(f"reduction/kummer({ell}^{k})→cyclotomic({n})", classify_cyclotomic(n, p1, p2))
 
 
 def _require_ell_power(ell: int, k: int) -> None:
@@ -408,6 +301,9 @@ def _require_ell_power(ell: int, k: int) -> None:
         raise BadModulusError(f"need a prime l ≡ 3 (mod 4), got {ell}")
     if k < 1:
         raise InvalidInputError(f"exponent k must be >= 1, got {k}")
+    # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
+    if k >= 64 or ell**k > arith.UINT64_MAX:
+        raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
 
 
 def classify(field: FieldDescriptor, p1: int, p2: int) -> Verdict:

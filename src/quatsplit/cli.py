@@ -7,7 +7,8 @@ Subcommands:
                 comparing the classifier against the local-global oracle
 
 Exit codes: 0 ok, 2 bad arguments, 3 unsupported field, 4 verify found
-disagreements (the report is still written).
+disagreements (the report is still written), 5 an internal invariant failed
+(a defect in quatsplit, never a property of the input).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .classify import (
     Verdict,
     classify,
 )
-from .errors import BadModulusError, InvalidInputError, UnsupportedFieldError
+from .errors import BadModulusError, InternalInvariantError, InvalidInputError, UnsupportedFieldError
 from .hilbert import ramified_places
 from .oracle import division_oracle
 
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_BAD_ARGS = 2
 EXIT_UNSUPPORTED = 3
 EXIT_DISAGREEMENTS = 4
+EXIT_INTERNAL = 5
 
 MAX_SWEEP_PRIME = 10_000
 
@@ -334,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -1,5 +1,4 @@
-"""Cyclotomic fields Q(zeta_n): canonical labels, prime factorization shape,
-quadratic subfields, and subfield degrees.
+"""Cyclotomic fields Q(zeta_n): canonical labels and prime factorization shape.
 
 Fields are identified by the canonical index n alone (n >= 3, n % 4 != 2);
 no root-of-unity arithmetic happens anywhere.  Every question answered here
@@ -12,12 +11,6 @@ from dataclasses import dataclass
 
 from . import arith
 from .errors import InvalidInputError
-
-
-@dataclass(frozen=True)
-class CyclotomicField:
-    n: int
-    degree: int
 
 
 @dataclass(frozen=True)
@@ -34,11 +27,6 @@ def canonical_n(n: int) -> int:
     if n < 3:
         raise InvalidInputError(f"cyclotomic index must be >= 3, got {n}")
     return n // 2 if n % 4 == 2 else n
-
-
-def make_cyclotomic(n: int) -> CyclotomicField:
-    m = canonical_n(n)
-    return CyclotomicField(n=m, degree=arith.euler_phi(m))
 
 
 def _require_canonical(n: int) -> None:
@@ -65,23 +53,3 @@ def factorization_shape(p: int, n: int) -> FactorizationShape:
     g = arith.euler_phi(m) // f
     return FactorizationShape(e=e, f=f, g=g)
 
-
-def splits_completely(p: int, n: int) -> bool:
-    """p factors into phi(n) distinct primes of Z[zeta_n] iff p == 1 (mod n)."""
-    arith.require_prime(p)
-    _require_canonical(n)
-    return p % n == 1
-
-
-def quadratic_subfield(p: int) -> int:
-    """The d with Q(sqrt(d)) inside Q(zeta_p): +p for p % 4 == 1, -p for p % 4 == 3."""
-    arith.require_prime(p)
-    if p == 2:
-        raise InvalidInputError("Q(zeta_2) = Q has no quadratic subfield; p must be odd")
-    return p if p % 4 == 1 else -p
-
-
-def maximal_real_subfield_degree(n: int) -> int:
-    """Degree phi(n)/2 of the maximal real subfield Q(zeta_n + 1/zeta_n)."""
-    _require_canonical(n)
-    return arith.euler_phi(n) // 2

@@ -23,3 +23,7 @@ class BadModulusError(InvalidInputError):
 
 class UnsupportedFieldError(ValueError):
     """No decision criterion covers the requested base field."""
+
+
+class InternalInvariantError(RuntimeError):
+    """A mathematical invariant the computation relies on failed: a defect, not bad input."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import arith
-from .errors import InvalidInputError
+from .errors import InternalInvariantError, InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,8 @@ def ramified_places(a: int, b: int) -> RamificationData:
     if hilbert_symbol(a, b, INFINITE_PLACE) == -1:
         ramified.append(INFINITE_PLACE)
     ramified.sort(key=place_sort_key)
-    assert len(ramified) % 2 == 0, f"Hilbert product formula violated for ({a}, {b})"
+    if len(ramified) % 2:
+        raise InternalInvariantError(f"Hilbert product formula violated for ({a}, {b})")
     disc = 1
     for v in ramified:
         if v.prime is not None:

@@ -10,7 +10,6 @@ criteria, so agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import arith, cyclotomic, quadratic
@@ -23,14 +22,8 @@ from .classify import (
     Quadratic,
     Rational,
 )
-from .errors import UnsupportedFieldError
+from .errors import InternalInvariantError, UnsupportedFieldError
 from .hilbert import Place, ramified_places
-
-
-@dataclass(frozen=True)
-class LocalDegreeProfile:
-    place: Place
-    local_degree: int
 
 
 @lru_cache(maxsize=None)
@@ -81,7 +74,8 @@ def _biquadratic_degree(d1: int, d2: int, place: Place) -> int:
         is quadratic.SplittingType.SPLIT
     )
     # Splitting in two of the three subfields forces the third.
-    assert split_count != 2, f"inconsistent splitting at {place} in Q(sqrt {d1}, sqrt {d2})"
+    if split_count == 2:
+        raise InternalInvariantError(f"inconsistent splitting at {place} in Q(sqrt {d1}, sqrt {d2})")
     return {3: 1, 1: 2, 0: 4}[split_count]
 
 
@@ -92,18 +86,15 @@ def _cyclotomic_degree(n: int, place: Place) -> int:
     return shape.e * shape.f
 
 
-def local_degree_profiles(field: FieldDescriptor, places: tuple[Place, ...]) -> tuple[LocalDegreeProfile, ...]:
-    return tuple(LocalDegreeProfile(v, local_degree(field, v)) for v in places)
-
-
 def division_oracle(field: FieldDescriptor, p1: int, p2: int) -> Outcome:
     """DIVISION iff some ramified place of H_Q(p1, p2) has odd local degree in K."""
     arith.require_distinct_primes(p1, p2)
     ram = ramified_places(p1, p2)
     # Positive slots: the infinite place never ramifies, so only finite
     # degrees can decide.
-    assert all(v.is_finite for v in ram.ramified)
-    for profile in local_degree_profiles(field, ram.ramified):
-        if profile.local_degree % 2 == 1:
+    if not all(v.is_finite for v in ram.ramified):
+        raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
+    for v in ram.ramified:
+        if local_degree(field, v) % 2 == 1:
             return Outcome.DIVISION
     return Outcome.SPLIT

@@ -14,7 +14,7 @@ from quatsplit.classify import (
     Outcome,
     Quadratic,
     classify_cyclotomic,
-    classify_prop41,
+    classify_kummer,
     classify_quadratic,
 )
 from quatsplit.hilbert import discriminant_fast_path, ramified_places
@@ -54,6 +54,9 @@ def test_criterion_1_classifier_equals_oracle():
 
 
 def test_criterion_2_prime_power_equivalence():
+    """Prime-power fields through classify_kummer: oracle agreement, and the
+    same outcome for k = 1 and k = 2 (the same criteria when both go through
+    prop 4.1, i.e. l**1 > 12)."""
     disagreements = []
     k_dependent = []
     for ell in (3, 7, 11, 19, 23):
@@ -63,13 +66,17 @@ def test_criterion_2_prime_power_equivalence():
             for p1, p2 in PAIRS_200:
                 if ell in (p1, p2):
                     continue
-                verdict = classify_prop41(ell, k, p1, p2)
+                verdict = classify_kummer(ell, k, p1, p2)
                 oracle = division_oracle(field, p1, p2)
                 if verdict.outcome is not oracle:
                     disagreements.append((ell, k, p1, p2, verdict.outcome.value, oracle.value))
                 if k == 1:
                     verdicts_by_k[(p1, p2)] = verdict
-                elif verdicts_by_k[(p1, p2)] != verdict:
+                    continue
+                first = verdicts_by_k[(p1, p2)]
+                if (first.outcome, first.certainty) != (verdict.outcome, verdict.certainty) or (
+                    ell > 12 and first.criteria() != verdict.criteria()
+                ):
                     k_dependent.append((ell, p1, p2))
     report(
         2,

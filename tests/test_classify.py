@@ -15,7 +15,6 @@ from quatsplit.classify import (
     classify_biquadratic,
     classify_cyclotomic,
     classify_kummer,
-    classify_prop41,
     classify_quadratic,
 )
 from quatsplit.errors import (
@@ -114,45 +113,47 @@ def test_reduction_coherence():
 
 
 def test_specialization_coherence():
-    """The prime-power criterion specializes to the per-n propositions."""
-    cases = [(3, 1, 3), (3, 2, 9), (7, 1, 7), (11, 1, 11)]
+    """The prime-power criterion specializes to the per-n propositions: the
+    Kummer fields below reduce to n = 27, 49, 121, which prop 4.1 decides."""
+    cases = [(3, 3, 3), (3, 3, 9), (7, 2, 7), (11, 2, 11)]
     for ell, k, n in cases:
         for p1, p2 in PAIRS_200:
-            if ell in (p1, p2):
-                continue
-            direct = classify_prop41(ell, k, p1, p2)
+            direct = classify_kummer(ell, k, p1, p2)
             vian = classify_cyclotomic(n, p1, p2)
             assert direct.outcome is vian.outcome, (ell, k, n, p1, p2)
 
 
 def test_prop41_k_independence():
+    """Same outcome for every k; same criteria wherever l**k goes through prop 4.1."""
     for ell in (3, 7, 11):
         for p1, p2 in PAIRS_100:
-            if ell in (p1, p2):
-                continue
-            verdicts = [classify_prop41(ell, k, p1, p2) for k in (1, 2, 3)]
-            assert verdicts[0] == verdicts[1] == verdicts[2], (ell, p1, p2)
+            verdicts = {k: classify_kummer(ell, k, p1, p2) for k in (1, 2, 3)}
+            assert len({(v.outcome, v.certainty) for v in verdicts.values()}) == 1, (ell, p1, p2)
+            prop41 = {v.criteria() for k, v in verdicts.items() if ell**k > 12}
+            assert len(prop41) == 1, (ell, p1, p2)
 
 
 def test_prop41_pinned():
-    v = classify_prop41(3, 2, 19, 2)
+    v = classify_cyclotomic(27, 19, 2)
     assert v.outcome is Outcome.DIVISION and v.fired == ("prop4.1/case2",)
-    v = classify_prop41(7, 1, 3, 2)
+    v = classify_cyclotomic(49, 3, 2)
     assert v.outcome is Outcome.DIVISION and v.fired == ("prop4.1/case2",)
     # (13|5) = (3|5) = -1 and (-11|5) = (-1|5)(11|5) = +1: case 1 fires
-    v = classify_prop41(11, 1, 13, 5)
+    v = classify_cyclotomic(121, 13, 5)
     assert v.outcome is Outcome.DIVISION and v.fired == ("prop4.1/case1",)
 
 
 def test_prop41_rejects_out_of_scope():
     with pytest.raises(BadModulusError):
-        classify_prop41(5, 1, 7, 3)
+        classify_kummer(5, 1, 7, 3)
     with pytest.raises(InvalidInputError):
-        classify_prop41(3, 0, 7, 5)
-    with pytest.raises(InvalidInputError):
-        classify_prop41(3, 1, 3, 5)
-    with pytest.raises(InvalidInputError):
-        classify_prop41(3, 1, 7, 3)
+        classify_kummer(3, 0, 7, 5)
+    # l**k must be below 2**64: 3**40 < 2**64 < 3**41
+    assert classify_kummer(3, 40, 7, 5).certainty is Certainty.EXACT
+    for k in (41, 20000, 10**12):
+        with pytest.raises(InvalidInputError) as info:
+            classify_kummer(3, k, 7, 5)
+        assert not isinstance(info.value, BadModulusError)
 
 
 def test_kummer_matches_cyclotomic():

@@ -3,16 +3,20 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import quatsplit
 from quatsplit.arith import primes_up_to
 from quatsplit.classify import Biquadratic, Cyclotomic, Kummer, Quadratic, classify
 from quatsplit.cli import (
     EXIT_BAD_ARGS,
     EXIT_DISAGREEMENTS,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_UNSUPPORTED,
     build_sweep_report,
@@ -98,6 +102,14 @@ def test_classify_error_exit_codes(capsys):
     assert code == EXIT_BAD_ARGS
     code, _, _ = run_cli(capsys, "classify", "--field", "nonsense", "--p", "3", "--q", "2")
     assert code == EXIT_BAD_ARGS
+
+
+def test_kummer_power_bound_exit_codes(capsys):
+    """l**k >= 2**64 is a bad argument for classify and verify, not a traceback."""
+    code, _, err = run_cli(capsys, "classify", "--field", "kummer:3^20000", "--p", "7", "--q", "3")
+    assert code == EXIT_BAD_ARGS and "2**64" in err
+    code, _, err = run_cli(capsys, "verify", "--field", "kummer:3^20000", "--max-prime", "20")
+    assert code == EXIT_BAD_ARGS and "2**64" in err
 
 
 def test_classify_canonicalizes_field(capsys):
@@ -236,3 +248,39 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "outcome: Division" in result.stdout
+
+
+def _odd_ramification(a, b, place):
+    """A broken local symbol: -1 at 2 only, so one place ramifies."""
+    return -1 if place.prime == 2 else 1
+
+
+def test_internal_invariant_exit_code(capsys, monkeypatch):
+    """A failed invariant (here the Hilbert product formula) exits 5."""
+    import quatsplit.hilbert as hilbert_module
+
+    monkeypatch.setattr(hilbert_module, "hilbert_symbol", _odd_ramification)
+    code, out, err = run_cli(capsys, "ramification", "--a", "3", "--b", "5")
+    assert code == EXIT_INTERNAL and out == "" and "internal error:" in err
+    code, _, err = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "20")
+    assert code == EXIT_INTERNAL and "internal error:" in err
+
+
+_BROKEN_SYMBOL_SCRIPT = """
+import sys
+import quatsplit.hilbert
+from quatsplit.cli import main
+quatsplit.hilbert.hilbert_symbol = lambda a, b, place: -1 if place.prime == 2 else 1
+sys.exit(main(["ramification", "--a", "3", "--b", "5"]))
+"""
+
+
+def test_internal_invariant_survives_optimize():
+    """The invariant checks are not asserts, so `python -O` keeps them."""
+    src = str(Path(quatsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_SYMBOL_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == EXIT_INTERNAL, result.stderr
+    assert "internal error:" in result.stderr

@@ -3,14 +3,7 @@
 import pytest
 
 from quatsplit.arith import euler_phi, primes_up_to
-from quatsplit.cyclotomic import (
-    canonical_n,
-    factorization_shape,
-    make_cyclotomic,
-    maximal_real_subfield_degree,
-    quadratic_subfield,
-    splits_completely,
-)
+from quatsplit.cyclotomic import canonical_n, factorization_shape
 from quatsplit.errors import InvalidInputError
 from quatsplit.quadratic import SplittingType, make_quadratic, splitting_type
 
@@ -40,12 +33,6 @@ def test_canonical_n_idempotent():
     for n in range(3, 500):
         assert canonical_n(canonical_n(n)) == canonical_n(n)
         assert canonical_n(n) % 4 != 2
-
-
-def test_make_cyclotomic_degree():
-    field = make_cyclotomic(10)
-    assert field.n == 5 and field.degree == 4
-    assert make_cyclotomic(12).degree == 4
 
 
 def test_factorization_shape_pinned():
@@ -86,41 +73,22 @@ def test_shape_product_sweep():
 
 
 def test_splits_completely_sweep():
+    """p splits completely in Q(zeta_n), shape (1, 1, phi(n)), iff p ≡ 1 (mod n)."""
     primes = primes_up_to(1000)
     for n in CANONICAL:
         phi = euler_phi(n)
         for p in primes:
-            expected = p % n == 1
-            assert splits_completely(p, n) == expected, (p, n)
             shape = factorization_shape(p, n)
-            assert ((shape.e, shape.f, shape.g) == (1, 1, phi)) == expected, (p, n)
-
-
-def test_quadratic_subfield():
-    assert quadratic_subfield(7) == -7
-    assert quadratic_subfield(5) == 5
-    assert quadratic_subfield(11) == -11
-    assert quadratic_subfield(13) == 13
-    with pytest.raises(InvalidInputError):
-        quadratic_subfield(2)
-    with pytest.raises(InvalidInputError):
-        quadratic_subfield(15)
-
-
-def test_maximal_real_subfield_degree():
-    assert maximal_real_subfield_degree(11) == 5
-    assert maximal_real_subfield_degree(7) == 3
-    assert maximal_real_subfield_degree(8) == 2
-    for n in CANONICAL:
-        assert maximal_real_subfield_degree(n) == euler_phi(n) // 2
+            assert ((shape.e, shape.f, shape.g) == (1, 1, phi)) == (p % n == 1), (p, n)
 
 
 def test_tower_consistency_with_quadratic_subfield():
     """A prime that splits completely in Q(zeta_l) splits in the quadratic
-    subfield Q(sqrt(+-l)) sitting inside it."""
+    subfield Q(sqrt(+-l)) sitting inside it (+l for l ≡ 1, -l for l ≡ 3 mod 4)."""
     primes = primes_up_to(1000)
     for ell in (3, 5, 7, 11, 19, 23):
-        field = make_quadratic(quadratic_subfield(ell))
+        field = make_quadratic(ell if ell % 4 == 1 else -ell)
         for p in primes:
-            if splits_completely(p, ell):
+            shape = factorization_shape(p, ell)
+            if shape.e == 1 and shape.f == 1:
                 assert splitting_type(p, field) is SplittingType.SPLIT, (p, ell)

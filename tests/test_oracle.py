@@ -12,7 +12,7 @@ from quatsplit.classify import (
     Rational,
     classify_quadratic,
 )
-from quatsplit.errors import EqualPrimesError, UnsupportedFieldError
+from quatsplit.errors import EqualPrimesError, InternalInvariantError, UnsupportedFieldError
 from quatsplit.hilbert import INFINITE_PLACE, Place, ramified_places
 from quatsplit.oracle import division_oracle, local_degree
 
@@ -116,3 +116,33 @@ def test_oracle_agrees_with_quadratic_criterion():
         for p1, p2 in PAIRS_200:
             expected = classify_quadratic(d, p1, p2).outcome
             assert division_oracle(field, p1, p2) is expected, (d, p1, p2)
+
+
+def test_invariant_failures_raise(monkeypatch):
+    """Broken local inputs trip the oracle's invariant checks, never an assert."""
+    import quatsplit.hilbert as hilbert_module
+    import quatsplit.quadratic as quadratic_module
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert_module, "hilbert_symbol", lambda a, b, place: -1 if place.prime == 2 else 1)
+        with pytest.raises(InternalInvariantError):
+            ramified_places(3, 5)
+    with monkeypatch.context() as patch:
+        # an even count, but the infinite place ramifies for positive primes
+        patch.setattr(
+            hilbert_module, "hilbert_symbol", lambda a, b, place: -1 if place.prime in (2, None) else 1
+        )
+        with pytest.raises(InternalInvariantError):
+            division_oracle(Cyclotomic(7), 3, 5)
+    local_degree.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            # 11 split in Q(i) and Q(sqrt 2) but not in Q(sqrt -2): impossible
+            split, inert = quadratic_module.SplittingType.SPLIT, quadratic_module.SplittingType.INERT
+            patch.setattr(
+                quadratic_module, "splitting_type", lambda p, field: inert if field.d == -2 else split
+            )
+            with pytest.raises(InternalInvariantError):
+                local_degree(Biquadratic(-1, 2), Place(11))
+    finally:
+        local_degree.cache_clear()
