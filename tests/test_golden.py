@@ -1,9 +1,11 @@
-"""Golden reports: the sha256 of `verify --format csv --max-prime 300` per field.
+"""Golden reports: the sha256 of `verify --max-prime 300` bodies per field.
 
-Any change to a verdict, a criterion id, a trace or the CSV rendering changes
-a hash. The fields cover every supported cyclotomic index up to 12, prime
+Any change to a verdict, a criterion id, a trace or a renderer changes a
+hash. The CSV fields cover every supported cyclotomic index up to 12, prime
 powers l**k with and without the l ≡ 7 (mod 8) escape, both quadratic
 discriminant shapes, both biquadratic presentations and the Kummer reduction.
+The JSON and text bodies are pinned for an exact field, the sufficient-only
+n = 5 (Unknown rows) and the Kummer reduction.
 """
 
 import hashlib
@@ -32,10 +34,37 @@ GOLDEN_CSV_300 = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(GOLDEN_CSV_300))
-def test_golden_report_csv_300(spec, tmp_path, capsys):
-    out_path = tmp_path / "report.csv"
-    code = main(["verify", "--field", spec, "--max-prime", "300", "--format", "csv", "--out", str(out_path)])
+GOLDEN_JSON_300 = {
+    "cyclotomic:5": "82451e7d770bfcb1633fd9280839fb4b88104657a79aca985cdebedcce07418e",
+    "cyclotomic:7": "f9a28ed38acfb717880d0985643d88b1738d9e058f089cb764f90a86e83bf791",
+    "kummer:7^2": "1de1052a9a4fd5e041fa46b0cc90d98fc13d97c242068817e683e8c74c143d13",
+}
+
+GOLDEN_TEXT_300 = {
+    "cyclotomic:5": "9ede9d3fddc6630dbd596986aca1b8498286501d79289d31209a587eef746240",
+    "cyclotomic:7": "9893ece4072f3a390c69b621bc69f002a5822163fbcff898beec444b9a715eba",
+    "kummer:7^2": "6699369edb54bca745acda1a6a56302ced65cbef657a5cea342bfc94fc0b24e1",
+}
+
+
+def _report_sha256(spec, fmt, tmp_path, capsys):
+    out_path = tmp_path / f"report.{fmt}"
+    code = main(["verify", "--field", spec, "--max-prime", "300", "--format", fmt, "--out", str(out_path)])
     capsys.readouterr()
     assert code == EXIT_OK
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == GOLDEN_CSV_300[spec]
+    return hashlib.sha256(out_path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_CSV_300))
+def test_golden_report_csv_300(spec, tmp_path, capsys):
+    assert _report_sha256(spec, "csv", tmp_path, capsys) == GOLDEN_CSV_300[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_JSON_300))
+def test_golden_report_json_300(spec, tmp_path, capsys):
+    assert _report_sha256(spec, "json", tmp_path, capsys) == GOLDEN_JSON_300[spec]
+
+
+@pytest.mark.parametrize("spec", sorted(GOLDEN_TEXT_300))
+def test_golden_report_text_300(spec, tmp_path, capsys):
+    assert _report_sha256(spec, "text", tmp_path, capsys) == GOLDEN_TEXT_300[spec]
