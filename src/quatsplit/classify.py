@@ -25,13 +25,16 @@ of quadratic subfield discriminants plus an "every d ≡ 1 (mod 8)" escape
 flag.  The cyclotomic ids above come from one reduction table, which maps
 each canonical n (and l**k) to its subfield and to the ids the paper
 publishes; where a proposition publishes one id for two raw cases of the
-theorem, the two are OR-merged into that one step.
+theorem, the two are OR-merged into that one step.  A verify sweep runs the
+same evaluator through sweep_classifier, on per-prime tables.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import NamedTuple, Union
 
 from . import arith, cyclotomic, quadratic
@@ -153,7 +156,7 @@ def _splits(discs: tuple[int, ...], p: int) -> bool:
 
 
 def _criterion(
-    discs: tuple[int, ...], escape: bool, verdicts: tuple[Verdict, ...], p1: int, p2: int
+    split: Callable[[int], bool], escape: bool, verdicts: tuple[Verdict, ...], p1: int, p2: int
 ) -> Verdict:
     """Theorem 3.1 over Q(sqrt d) (one discriminant), 3.4 over Q(sqrt d1, sqrt d2) (two).
 
@@ -162,30 +165,61 @@ def _criterion(
       case3a  p1 ≡ p2 ≡ 3 (mod 4), (p2|p1) = -1, and p1 splits or escape;
       case3b  the same with p1 and p2 exchanged;
       case2   one prime is 2, the other p ≡ 3 or 5 (mod 8), and p splits or escape;
-    where "splits" means in every subfield, and escape says that every d ≡ 1
-    (mod 8), so that 2 splits.  The caller has proved p1, p2 distinct primes.
+    where "splits" means in every subfield, as split(p) answers for odd p, and
+    escape says that every d ≡ 1 (mod 8), so that 2 splits.  The caller has
+    proved p1, p2 distinct primes.
     """
     if p1 != 2 and p2 != 2:
         symbol = arith.legendre_unchecked(p1, p2)
         if p1 % 4 == 3 and p2 % 4 == 3:
             # Reciprocity: (p2|p1) = -(p1|p2), so case3a needs (p1|p2) = 1.
             if symbol == 1:
-                return verdicts[1 if escape or _splits(discs, p1) else _NONE_ODD]
-            return verdicts[2 if escape or _splits(discs, p2) else _NONE_ODD]
-        if symbol == -1 and (_splits(discs, p1) or _splits(discs, p2)):
+                return verdicts[1 if escape or split(p1) else _NONE_ODD]
+            return verdicts[2 if escape or split(p2) else _NONE_ODD]
+        if symbol == -1 and (split(p1) or split(p2)):
             return verdicts[0]
         return verdicts[_NONE_ODD]
     p = p1 if p2 == 2 else p2
     residue = p % 8
-    if (residue == 3 or residue == 5) and (escape or _splits(discs, p)):
+    if (residue == 3 or residue == 5) and (escape or split(p)):
         return verdicts[3 if residue == 3 else 4]
     return verdicts[_NONE_TWO]
 
 
+def _n5_criterion(
+    split: Callable[[int], bool], escape: bool, verdicts: tuple[Verdict, ...], p1: int, p2: int
+) -> Verdict:
+    """Prop 3.9 over Q(zeta_5), a sufficient condition only; split and escape are unused.
+
+    Tried in both argument orders since H(p1, p2) and H(p2, p1) are
+    isomorphic; verdicts[2 * hit1 + hit2] is the verdict for the two results.
+    """
+    hit1 = p1 % 5 == 1 and arith.legendre_unchecked(p2, p1) == -1
+    hit2 = p2 % 5 == 1 and arith.legendre_unchecked(p1, p2) == -1
+    return verdicts[2 * hit1 + hit2]
+
+
+def _n5_verdicts() -> tuple[Verdict, ...]:
+    # No split criterion is known for this field, so the fallback is Unknown rather than Split.
+    verdicts = []
+    for hit1 in (False, True):
+        for hit2 in (False, True):
+            steps = (TraceStep("prop3.9/p1≡1mod5", hit1), TraceStep("prop3.9/p2≡1mod5", hit2))
+            outcome = Outcome.DIVISION if hit1 or hit2 else Outcome.UNKNOWN
+            verdicts.append(Verdict(outcome=outcome, certainty=Certainty.SUFFICIENT_ONLY, trace=steps))
+    return tuple(verdicts)
+
+
 class _Row(NamedTuple):
+    """How one field decides: rule(split, escape, verdicts, p1, p2) over the subfield discs."""
+
+    rule: Callable[..., Verdict]
     discs: tuple[int, ...]
     escape: bool
     verdicts: tuple[Verdict, ...]
+
+    def decide(self, p1: int, p2: int) -> Verdict:
+        return self.rule(partial(_splits, self.discs), self.escape, self.verdicts, p1, p2)
 
 
 def _prop_ids(
@@ -204,27 +238,44 @@ _PROP41 = _verdicts(_prop_ids("prop4.1"))
 # Q(zeta_n) whose criterion decides H(p1, p2), and the ids the paper publishes
 # for it.  Props 3.5 and 3.8 publish fewer ids because splitting in
 # Q(i, sqrt 2) needs p ≡ 1 (mod 8) and in Q(i, sqrt -3) p ≡ 1 (mod 12): only
-# case1 and, for n = 12, case2 with p ≡ 5 (mod 8) can fire there.
+# case1 and, for n = 12, case2 with p ≡ 5 (mod 8) can fire there.  n = 5 has
+# only the sufficient condition of Prop 3.9.
 _CYCLOTOMIC = {
-    3: _Row((-3,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ3)→Q(√-3)")),
-    4: _Row((-4,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ4)→Q(i)")),
-    7: _Row((-7,), True, _verdicts(_prop_ids("prop3.3", case3a="case3", case3b="case3"))),
-    8: _Row((-4, 8), False, _verdicts(("prop3.5/main",) * 5)),
-    9: _Row((-3,), False, _verdicts(_prop_ids("prop3.6"))),
-    11: _Row((-11,), False, _verdicts(_prop_ids("prop3.7"))),
-    12: _Row((-4, -3), False, _verdicts(_prop_ids("prop3.8", case3a="case1", case3b="case1"))),
+    3: _Row(_criterion, (-3,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ3)→Q(√-3)")),
+    4: _Row(_criterion, (-4,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ4)→Q(i)")),
+    5: _Row(_n5_criterion, (), False, _n5_verdicts()),
+    7: _Row(_criterion, (-7,), True, _verdicts(_prop_ids("prop3.3", case3a="case3", case3b="case3"))),
+    8: _Row(_criterion, (-4, 8), False, _verdicts(("prop3.5/main",) * 5)),
+    9: _Row(_criterion, (-3,), False, _verdicts(_prop_ids("prop3.6"))),
+    11: _Row(_criterion, (-11,), False, _verdicts(_prop_ids("prop3.7"))),
+    12: _Row(_criterion, (-4, -3), False, _verdicts(_prop_ids("prop3.8", case3a="case1", case3b="case1"))),
 }
 
 
-def _prime_power_row(n: int) -> _Row:
-    """Prop 4.1: Q(zeta_{l**k}) with l ≡ 3 (mod 4) decides like Q(sqrt -l), whatever k."""
-    factors = arith.factorize(n)
+def _cyclotomic_row(m: int) -> _Row:
+    """The row for canonical m; Prop 4.1: Q(zeta_{l**k}) with l ≡ 3 (mod 4) decides like Q(sqrt -l)."""
+    row = _CYCLOTOMIC.get(m)
+    if row is not None:
+        return row
+    factors = arith.factorize(m)
     ell = factors[0][0]
     if len(factors) != 1 or ell % 4 != 3:
         raise UnsupportedFieldError(
-            f"no criterion for cyclotomic n = {n}; supported: 3-12 and prime powers l**k with l ≡ 3 (mod 4)"
+            f"no criterion for cyclotomic n = {m}; supported: 3-12 and prime powers l**k with l ≡ 3 (mod 4)"
         )
-    return _Row((-ell,), ell % 8 == 7, _PROP41)
+    return _Row(_criterion, (-ell,), ell % 8 == 7, _PROP41)
+
+
+def _quadratic_row(d: int) -> _Row:
+    return _Row(_criterion, (quadratic.make_quadratic(d).discriminant,), d % 8 == 1, _THM31)
+
+
+def _biquadratic_row(d1: int, d2: int) -> _Row:
+    k1 = quadratic.make_quadratic(d1)
+    k2 = quadratic.make_quadratic(d2)
+    if d1 == d2:
+        raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
+    return _Row(_criterion, (k1.discriminant, k2.discriminant), d1 % 8 == 1 and d2 % 8 == 1, _THM34)
 
 
 def _reduced(label: str, verdict: Verdict) -> Verdict:
@@ -232,14 +283,22 @@ def _reduced(label: str, verdict: Verdict) -> Verdict:
     return Verdict(outcome=verdict.outcome, certainty=verdict.certainty, trace=trace)
 
 
+def _n_label(n: int, m: int) -> str:
+    return f"reduction/n{n}→n{m}"
+
+
+def _kummer_label(ell: int, k: int) -> str:
+    return f"reduction/kummer({ell}^{k})→cyclotomic({ell**k})"
+
+
 # --- public entry points ------------------------------------------------------
 
 
 def classify_quadratic(d: int, p1: int, p2: int) -> Verdict:
     """Exact division/split decision for H(p1, p2) over Q(sqrt(d))."""
-    field = quadratic.make_quadratic(d)
+    row = _quadratic_row(d)
     arith.require_distinct_primes(p1, p2)
-    return _criterion((field.discriminant,), d % 8 == 1, _THM31, p1, p2)
+    return row.decide(p1, p2)
 
 
 def classify_biquadratic(d1: int, d2: int, p1: int, p2: int) -> Verdict:
@@ -248,23 +307,9 @@ def classify_biquadratic(d1: int, d2: int, p1: int, p2: int) -> Verdict:
     The quadratic criterion with every splitting condition required in both
     subfields at once, and d ≡ 1 (mod 8) required of both d1 and d2.
     """
-    k1 = quadratic.make_quadratic(d1)
-    k2 = quadratic.make_quadratic(d2)
-    if d1 == d2:
-        raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
+    row = _biquadratic_row(d1, d2)
     arith.require_distinct_primes(p1, p2)
-    return _criterion((k1.discriminant, k2.discriminant), d1 % 8 == 1 and d2 % 8 == 1, _THM34, p1, p2)
-
-
-def _n5_verdict(p1: int, p2: int) -> Verdict:
-    # Sufficient condition only; tried in both argument orders since
-    # H(p1, p2) and H(p2, p1) are isomorphic.  No split criterion is known
-    # for this field, so the fallback is Unknown rather than Split.
-    hit1 = p1 % 5 == 1 and arith.legendre_unchecked(p2, p1) == -1
-    hit2 = p2 % 5 == 1 and arith.legendre_unchecked(p1, p2) == -1
-    steps = (TraceStep("prop3.9/p1≡1mod5", hit1), TraceStep("prop3.9/p2≡1mod5", hit2))
-    outcome = Outcome.DIVISION if hit1 or hit2 else Outcome.UNKNOWN
-    return Verdict(outcome=outcome, certainty=Certainty.SUFFICIENT_ONLY, trace=steps)
+    return row.decide(p1, p2)
 
 
 def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
@@ -277,11 +322,8 @@ def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
     """
     m = cyclotomic.canonical_n(n)
     arith.require_distinct_primes(p1, p2)
-    if m == 5:
-        verdict = _n5_verdict(p1, p2)
-    else:
-        verdict = _criterion(*(_CYCLOTOMIC.get(m) or _prime_power_row(m)), p1, p2)
-    return verdict if m == n else _reduced(f"reduction/n{n}→n{m}", verdict)
+    verdict = _cyclotomic_row(m).decide(p1, p2)
+    return verdict if m == n else _reduced(_n_label(n, m), verdict)
 
 
 def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
@@ -292,8 +334,7 @@ def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
     parameter.  ell**k must be below 2**64.
     """
     _require_ell_power(ell, k)
-    n = ell**k
-    return _reduced(f"reduction/kummer({ell}^{k})→cyclotomic({n})", classify_cyclotomic(n, p1, p2))
+    return _reduced(_kummer_label(ell, k), classify_cyclotomic(ell**k, p1, p2))
 
 
 def _require_ell_power(ell: int, k: int) -> None:
@@ -304,6 +345,44 @@ def _require_ell_power(ell: int, k: int) -> None:
     # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
     if k >= 64 or ell**k > arith.UINT64_MAX:
         raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
+
+
+def _resolve(field: FieldDescriptor) -> tuple[_Row, tuple[str, ...]]:
+    """Check field as classify does; its row and the reduction labels classify puts first."""
+    match field:
+        case Quadratic(d):
+            return _quadratic_row(d), ()
+        case Biquadratic(d1, d2):
+            return _biquadratic_row(d1, d2), ()
+        case Cyclotomic(n):
+            m = cyclotomic.canonical_n(n)
+            return _cyclotomic_row(m), (() if m == n else (_n_label(n, m),))
+        case Kummer(ell, k):
+            _require_ell_power(ell, k)
+            row, labels = _resolve(Cyclotomic(ell**k))
+            return row, (_kummer_label(ell, k),) + labels
+        case Rational():
+            raise UnsupportedFieldError("no closed-form criterion over Q; use ramified_places")
+    raise UnsupportedFieldError(f"unrecognized field descriptor: {field!r}")
+
+
+def sweep_classifier(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int, int], Verdict]:
+    """classify(field, p1, p2) for every pair of distinct p1, p2 taken from primes.
+
+    For a verify sweep: the field is checked and resolved, and every prime is
+    proved prime, once here instead of per pair.  Whether each prime splits
+    in the field's subfield is tabulated, and the reduction steps are put on
+    the verdicts up front, so a pair costs one symbol (p1|p2) and lookups.
+    The returned function trusts its arguments.
+    """
+    row, labels = _resolve(field)
+    for p in primes:
+        arith.require_prime(p)
+    split = frozenset(p for p in primes if p != 2 and _splits(row.discs, p))
+    verdicts = row.verdicts
+    for label in reversed(labels):
+        verdicts = tuple(_reduced(label, verdict) for verdict in verdicts)
+    return partial(row.rule, split.__contains__, row.escape, verdicts)
 
 
 def classify(field: FieldDescriptor, p1: int, p2: int) -> Verdict:

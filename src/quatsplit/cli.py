@@ -19,6 +19,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import arith, cyclotomic
 from .classify import (
@@ -31,10 +32,11 @@ from .classify import (
     Quadratic,
     Verdict,
     classify,
+    sweep_classifier,
 )
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError, UnsupportedFieldError
 from .hilbert import ramified_places
-from .oracle import division_oracle
+from .oracle import sweep_oracle
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -145,8 +147,7 @@ def _cmd_ramification(args: argparse.Namespace) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     p1: int
     p2: int
     classify_outcome: Outcome
@@ -169,22 +170,27 @@ class SweepReport:
 def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     """Compare classifier and oracle on every ordered pair of distinct primes.
 
-    For Kummer fields the oracle runs over Q(zeta_{l**k}): the radical layer
-    has odd degree, so the division/split answer transfers unchanged.
+    The field is checked and each prime proved prime once, by the sweep
+    entries of the classifier and of the oracle; the pair loop then runs on
+    their per-prime tables.  For Kummer fields the oracle runs over
+    Q(zeta_{l**k}): the radical layer has odd degree, so the division/split
+    answer transfers unchanged.
     """
-    if isinstance(field, Kummer):
-        oracle_field: FieldDescriptor = Cyclotomic(field.ell**field.k)
-    else:
-        oracle_field = field
     primes = arith.primes_up_to(max_prime)
+    # The classifier checks the field first, Kummer's l**k < 2**64 bound included.
+    verdict_of = sweep_classifier(field, primes)
+    oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
+    oracle_of = sweep_oracle(oracle_field, primes)
+    # The sweep's verdicts come from a few shared objects: format each trace once.
+    traces: dict[int, str] = {}
     rows = []
     agree = disagree = unknown = 0
     for p1 in primes:
         for p2 in primes:
             if p1 == p2:
                 continue
-            verdict = classify(field, p1, p2)
-            oracle_outcome = division_oracle(oracle_field, p1, p2)
+            verdict = verdict_of(p1, p2)
+            oracle_outcome = oracle_of(p1, p2)
             matches = verdict.outcome is oracle_outcome
             if verdict.outcome is Outcome.UNKNOWN:
                 unknown += 1
@@ -192,16 +198,11 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
                 agree += 1
             else:
                 disagree += 1
+            trace = traces.get(id(verdict))
+            if trace is None:
+                trace = traces[id(verdict)] = format_trace(verdict)
             rows.append(
-                SweepRow(
-                    p1=p1,
-                    p2=p2,
-                    classify_outcome=verdict.outcome,
-                    classify_certainty=verdict.certainty,
-                    oracle_outcome=oracle_outcome,
-                    agree=matches,
-                    trace=format_trace(verdict),
-                )
+                SweepRow(p1, p2, verdict.outcome, verdict.certainty, oracle_outcome, matches, trace)
             )
     return SweepReport(
         field=field, max_prime=max_prime, rows=tuple(rows), agree=agree, disagree=disagree, unknown=unknown

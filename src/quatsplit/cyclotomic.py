@@ -44,6 +44,11 @@ def factorization_shape(p: int, n: int) -> FactorizationShape:
     """
     arith.require_prime(p)
     _require_canonical(n)
+    return factorization_shape_unchecked(p, n)
+
+
+def factorization_shape_unchecked(p: int, n: int) -> FactorizationShape:
+    """factorization_shape(p, n) for a prime p and canonical n that the caller has already checked."""
     m, p_power = n, 1
     while m % p == 0:
         m //= p

@@ -12,6 +12,7 @@ where eps(u) = (u - 1)/2 mod 2 and omega(u) = (u**2 - 1)/8 mod 2.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import arith
@@ -37,11 +38,6 @@ class Place:
 
 
 INFINITE_PLACE = Place(prime=None)
-
-
-def place_sort_key(v: Place) -> tuple[int, int]:
-    """Finite places ascending, the infinite place last."""
-    return (1, 0) if v.prime is None else (0, v.prime)
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:
@@ -75,10 +71,11 @@ def hilbert_symbol(a: int, b: int, place: Place) -> int:
     sign = 1
     if alpha % 2 and beta % 2 and _eps(p):
         sign = -sign
+    # The place proved p prime when it was made.
     if beta % 2:
-        sign *= arith.legendre(u, p)
+        sign *= arith.legendre_unchecked(u, p)
     if alpha % 2:
-        sign *= arith.legendre(w, p)
+        sign *= arith.legendre_unchecked(w, p)
     return sign
 
 
@@ -106,17 +103,27 @@ def ramified_places(a: int, b: int) -> RamificationData:
     candidates = {2}
     for n in (a, b):
         candidates.update(p for p, _ in arith.factorize(abs(n)))
-    ramified = [Place(p) for p in sorted(candidates) if hilbert_symbol(a, b, Place(p)) == -1]
-    if hilbert_symbol(a, b, INFINITE_PLACE) == -1:
-        ramified.append(INFINITE_PLACE)
-    ramified.sort(key=place_sort_key)
-    if len(ramified) % 2:
-        raise InternalInvariantError(f"Hilbert product formula violated for ({a}, {b})")
+    ramified = ramified_among(a, b, [Place(p) for p in sorted(candidates)])
     disc = 1
     for v in ramified:
         if v.prime is not None:
             disc *= v.prime
-    return RamificationData(ramified=tuple(ramified), reduced_discriminant=disc)
+    return RamificationData(ramified=ramified, reduced_discriminant=disc)
+
+
+def ramified_among(a: int, b: int, places: Sequence[Place]) -> tuple[Place, ...]:
+    """The ramified places of H_Q(a, b) for nonzero a, b: finite ones ascending, then infinity.
+
+    places must hold every prime dividing 2ab, ascending; the infinite place
+    is always tried, last.  Raises InternalInvariantError when the number of
+    ramified places is odd, which Hilbert reciprocity forbids.
+    """
+    ramified = [v for v in places if hilbert_symbol(a, b, v) == -1]
+    if hilbert_symbol(a, b, INFINITE_PLACE) == -1:
+        ramified.append(INFINITE_PLACE)
+    if len(ramified) % 2:
+        raise InternalInvariantError(f"Hilbert product formula violated for ({a}, {b})")
+    return tuple(ramified)
 
 
 def discriminant_fast_path(p: int, q: int) -> int | None:

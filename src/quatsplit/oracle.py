@@ -10,6 +10,7 @@ criteria, so agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 
 from . import arith, cyclotomic, quadratic
@@ -23,7 +24,7 @@ from .classify import (
     Rational,
 )
 from .errors import InternalInvariantError, UnsupportedFieldError
-from .hilbert import Place, ramified_places
+from .hilbert import Place, ramified_among, ramified_places
 
 
 @lru_cache(maxsize=None)
@@ -35,6 +36,7 @@ def local_degree(field: FieldDescriptor, place: Place) -> int:
     2 iff d < 0.  Biquadratic: 1, 2 or 4 by how many of the three quadratic
     subfields v splits in.  Kummer fields are not supported: their local
     degrees depend on the radicand, which is deliberately not modeled.
+    The place has proved its prime, so the splitting data is not re-checked.
     """
     match field:
         case Rational():
@@ -57,7 +59,7 @@ def _quadratic_degree(d: int, place: Place) -> int:
     if place.prime is None:
         return 2 if d < 0 else 1
     field = quadratic.make_quadratic(d)
-    split = quadratic.splitting_type(place.prime, field) is quadratic.SplittingType.SPLIT
+    split = quadratic.splitting_type_unchecked(place.prime, field) is quadratic.SplittingType.SPLIT
     return 1 if split else 2
 
 
@@ -70,7 +72,7 @@ def _biquadratic_degree(d1: int, d2: int, place: Place) -> int:
     split_count = sum(
         1
         for d in (d1, d2, d3)
-        if quadratic.splitting_type(place.prime, quadratic.make_quadratic(d))
+        if quadratic.splitting_type_unchecked(place.prime, quadratic.make_quadratic(d))
         is quadratic.SplittingType.SPLIT
     )
     # Splitting in two of the three subfields forces the third.
@@ -82,7 +84,7 @@ def _biquadratic_degree(d1: int, d2: int, place: Place) -> int:
 def _cyclotomic_degree(n: int, place: Place) -> int:
     if place.prime is None:
         return 2
-    shape = cyclotomic.factorization_shape(place.prime, cyclotomic.canonical_n(n))
+    shape = cyclotomic.factorization_shape_unchecked(place.prime, cyclotomic.canonical_n(n))
     return shape.e * shape.f
 
 
@@ -90,11 +92,39 @@ def division_oracle(field: FieldDescriptor, p1: int, p2: int) -> Outcome:
     """DIVISION iff some ramified place of H_Q(p1, p2) has odd local degree in K."""
     arith.require_distinct_primes(p1, p2)
     ram = ramified_places(p1, p2)
+    return _decide(ram.ramified, lambda v: local_degree(field, v) % 2 == 1, p1, p2)
+
+
+def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int, int], Outcome]:
+    """division_oracle(field, p1, p2) for every pair of distinct p1, p2 taken from primes.
+
+    For a verify sweep: each prime becomes a Place once, which proves it
+    prime, and its local degree in K is read once.  A pair then costs the
+    Hilbert symbols at 2, p1, p2 and infinity, the only candidates for
+    H_Q(p1, p2), with the same product-formula and infinite-place checks as
+    division_oracle.  The returned function trusts its arguments.
+    """
+    places = {p: Place(p) for p in primes}
+    two = Place(2)
+    odd = frozenset(p for p, v in places.items() if local_degree(field, v) % 2 == 1)
+
+    def odd_degree(v: Place) -> bool:
+        return v.prime in odd
+
+    def outcome(p1: int, p2: int) -> Outcome:
+        lo, hi = (p1, p2) if p1 < p2 else (p2, p1)
+        candidates = (places[lo], places[hi]) if lo == 2 else (two, places[lo], places[hi])
+        return _decide(ramified_among(p1, p2, candidates), odd_degree, p1, p2)
+
+    return outcome
+
+
+def _decide(ramified: Sequence[Place], odd_degree: Callable[[Place], bool], p1: int, p2: int) -> Outcome:
     # Positive slots: the infinite place never ramifies, so only finite
     # degrees can decide.
-    if not all(v.is_finite for v in ram.ramified):
+    if not all(v.is_finite for v in ramified):
         raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
-    for v in ram.ramified:
-        if local_degree(field, v) % 2 == 1:
+    for v in ramified:
+        if odd_degree(v):
             return Outcome.DIVISION
     return Outcome.SPLIT

@@ -41,11 +41,16 @@ def splitting_type(p: int, field: QuadraticField) -> SplittingType:
     d % 4 in {2, 3}, split for d % 8 == 1, inert for d % 8 == 5.
     """
     arith.require_prime(p)
+    return splitting_type_unchecked(p, field)
+
+
+def splitting_type_unchecked(p: int, field: QuadraticField) -> SplittingType:
+    """splitting_type(p, field) for a p that the caller has already proved prime."""
     if p == 2:
         if field.d % 4 in (2, 3):
             return SplittingType.RAMIFIED
         return SplittingType.SPLIT if field.d % 8 == 1 else SplittingType.INERT
-    symbol = arith.legendre(field.discriminant, p)
+    symbol = arith.legendre_unchecked(field.discriminant, p)
     if symbol == 0:
         return SplittingType.RAMIFIED
     return SplittingType.SPLIT if symbol == 1 else SplittingType.INERT

@@ -12,7 +12,7 @@ import pytest
 
 import quatsplit
 from quatsplit.arith import primes_up_to
-from quatsplit.classify import Biquadratic, Cyclotomic, Kummer, Quadratic, classify
+from quatsplit.classify import Biquadratic, Cyclotomic, Kummer, Quadratic, classify, sweep_classifier
 from quatsplit.cli import (
     EXIT_BAD_ARGS,
     EXIT_DISAGREEMENTS,
@@ -26,6 +26,13 @@ from quatsplit.cli import (
     render_report_csv,
 )
 from quatsplit.errors import InvalidInputError
+from quatsplit.oracle import division_oracle, local_degree, sweep_oracle
+
+
+def _env_with_src():
+    """The environment for a child Python that imports this checkout's quatsplit."""
+    src = str(Path(quatsplit.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +214,9 @@ def test_verify_bad_arguments(capsys):
     assert code == EXIT_BAD_ARGS
     code, _, _ = run_cli(capsys, "verify", "--field", "cyclotomic:13", "--max-prime", "40")
     assert code == EXIT_UNSUPPORTED
+    # the field is checked before the sweep, even when it has no pairs
+    code, _, _ = run_cli(capsys, "verify", "--field", "cyclotomic:13", "--max-prime", "2")
+    assert code == EXIT_UNSUPPORTED
 
 
 def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
@@ -214,7 +224,7 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
     import quatsplit.cli as cli_module
     from quatsplit.classify import Outcome
 
-    monkeypatch.setattr(cli_module, "division_oracle", lambda field, p1, p2: Outcome.SPLIT)
+    monkeypatch.setattr(cli_module, "sweep_oracle", lambda field, primes: lambda p1, p2: Outcome.SPLIT)
     out_path = tmp_path / "bad.csv"
     code, _, _ = run_cli(
         capsys,
@@ -227,17 +237,78 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
     assert ",false," in body
 
 
-def test_verify_round_trip():
-    """Every report row re-fed to the classifier reproduces outcome and trace."""
-    field = Cyclotomic(9)
-    report = build_sweep_report(field, 50)
+SWEEP_FIELDS = (
+    Cyclotomic(7),
+    Cyclotomic(5),
+    Cyclotomic(9),
+    Cyclotomic(10),
+    Cyclotomic(14),
+    Cyclotomic(12),
+    Cyclotomic(27),
+    Quadratic(17),
+    Biquadratic(-1, -3),
+    Kummer(3, 2),
+    Kummer(7, 1),
+)
+
+
+@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=str)
+def test_verify_round_trip(field):
+    """Every sweep row equals the point path: classify and division_oracle on its pair."""
+    oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
+    report = build_sweep_report(field, 60)
+    n_primes = len(primes_up_to(60))
+    assert len(report.rows) == n_primes * (n_primes - 1)
     for row in report.rows:
         verdict = classify(field, row.p1, row.p2)
         assert verdict.outcome is row.classify_outcome
+        assert verdict.certainty is row.classify_certainty
         assert format_trace(verdict) == row.trace
+        assert row.oracle_outcome is division_oracle(oracle_field, row.p1, row.p2)
     assert report.agree + report.disagree + report.unknown == len(report.rows)
     # rendering is pure
     assert render_report_csv(report) == render_report_csv(report)
+
+
+def test_verify_validates_each_prime_once(monkeypatch):
+    """A sweep proves each prime prime a bounded number of times, not once per pair."""
+    import quatsplit.arith as arith_module
+
+    calls = 0
+    is_prime = arith_module.is_prime
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(arith_module, "is_prime", counted)
+    local_degree.cache_clear()
+    try:
+        build_sweep_report(Cyclotomic(7), 200)
+    finally:
+        local_degree.cache_clear()
+    assert calls <= 2 * len(primes_up_to(200)) + 4
+
+
+def test_sweep_entries_prove_their_primes():
+    """Both sweep entries reject a non-prime before any pair is decided."""
+    for build in (sweep_classifier, sweep_oracle):
+        with pytest.raises(InvalidInputError):
+            build(Cyclotomic(7), [2, 3, 9])
+
+
+def test_verify_kummer_huge_exponent_exits_promptly():
+    """The Kummer bound is checked before l**k is computed, so this cannot hang."""
+    result = subprocess.run(
+        [sys.executable, "-m", "quatsplit", "verify", "--field", "kummer:3^100000000", "--max-prime", "20"],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == EXIT_BAD_ARGS
+    assert result.stderr.startswith("error:")
 
 
 def test_module_entry_point():
@@ -277,10 +348,11 @@ sys.exit(main(["ramification", "--a", "3", "--b", "5"]))
 
 def test_internal_invariant_survives_optimize():
     """The invariant checks are not asserts, so `python -O` keeps them."""
-    src = str(Path(quatsplit.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     result = subprocess.run(
-        [sys.executable, "-O", "-c", _BROKEN_SYMBOL_SCRIPT], capture_output=True, text=True, env=env
+        [sys.executable, "-O", "-c", _BROKEN_SYMBOL_SCRIPT],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
     )
     assert result.returncode == EXIT_INTERNAL, result.stderr
     assert "internal error:" in result.stderr

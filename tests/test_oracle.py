@@ -140,7 +140,7 @@ def test_invariant_failures_raise(monkeypatch):
             # 11 split in Q(i) and Q(sqrt 2) but not in Q(sqrt -2): impossible
             split, inert = quadratic_module.SplittingType.SPLIT, quadratic_module.SplittingType.INERT
             patch.setattr(
-                quadratic_module, "splitting_type", lambda p, field: inert if field.d == -2 else split
+                quadratic_module, "splitting_type_unchecked", lambda p, field: inert if field.d == -2 else split
             )
             with pytest.raises(InternalInvariantError):
                 local_degree(Biquadratic(-1, 2), Place(11))
