@@ -25,8 +25,10 @@ of quadratic subfield discriminants plus an "every d ≡ 1 (mod 8)" escape
 flag.  The cyclotomic ids above come from one reduction table, which maps
 each canonical n (and l**k) to its subfield and to the ids the paper
 publishes; where a proposition publishes one id for two raw cases of the
-theorem, the two are OR-merged into that one step.  A verify sweep runs the
-same evaluator through sweep_classifier, on per-prime tables.
+theorem, the two are OR-merged into that one step.  There is one decision
+path: sweep_classifier checks the field and the primes once and binds the
+evaluator to a table of which primes split in the subfield; a verify sweep
+runs it over all its primes, and classify runs it on its own pair.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from functools import partial
 from typing import NamedTuple, Union
 
 from . import arith, cyclotomic, quadratic
-from .errors import BadModulusError, InvalidInputError, UnsupportedFieldError
+from .errors import BadModulusError, EqualPrimesError, InvalidInputError, UnsupportedFieldError
 
 
 class Outcome(Enum):
@@ -218,9 +220,6 @@ class _Row(NamedTuple):
     escape: bool
     verdicts: tuple[Verdict, ...]
 
-    def decide(self, p1: int, p2: int) -> Verdict:
-        return self.rule(partial(_splits, self.discs), self.escape, self.verdicts, p1, p2)
-
 
 def _prop_ids(
     prop: str, case1: str = "case1", case3a: str = "case3a", case3b: str = "case3b"
@@ -266,29 +265,13 @@ def _cyclotomic_row(m: int) -> _Row:
     return _Row(_criterion, (-ell,), ell % 8 == 7, _PROP41)
 
 
-def _quadratic_row(d: int) -> _Row:
-    return _Row(_criterion, (quadratic.make_quadratic(d).discriminant,), d % 8 == 1, _THM31)
-
-
-def _biquadratic_row(d1: int, d2: int) -> _Row:
-    k1 = quadratic.make_quadratic(d1)
-    k2 = quadratic.make_quadratic(d2)
-    if d1 == d2:
-        raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
-    return _Row(_criterion, (k1.discriminant, k2.discriminant), d1 % 8 == 1 and d2 % 8 == 1, _THM34)
-
-
-def _reduced(label: str, verdict: Verdict) -> Verdict:
-    trace = (TraceStep(label, True),) + verdict.trace
-    return Verdict(outcome=verdict.outcome, certainty=verdict.certainty, trace=trace)
-
-
-def _n_label(n: int, m: int) -> str:
-    return f"reduction/n{n}→n{m}"
-
-
-def _kummer_label(ell: int, k: int) -> str:
-    return f"reduction/kummer({ell}^{k})→cyclotomic({ell**k})"
+def _reduced(label: str, row: _Row) -> _Row:
+    """row with the reduction step label put first on every verdict."""
+    verdicts = tuple(
+        Verdict(outcome=v.outcome, certainty=v.certainty, trace=(TraceStep(label, True),) + v.trace)
+        for v in row.verdicts
+    )
+    return row._replace(verdicts=verdicts)
 
 
 # --- public entry points ------------------------------------------------------
@@ -296,9 +279,7 @@ def _kummer_label(ell: int, k: int) -> str:
 
 def classify_quadratic(d: int, p1: int, p2: int) -> Verdict:
     """Exact division/split decision for H(p1, p2) over Q(sqrt(d))."""
-    row = _quadratic_row(d)
-    arith.require_distinct_primes(p1, p2)
-    return row.decide(p1, p2)
+    return classify(Quadratic(d), p1, p2)
 
 
 def classify_biquadratic(d1: int, d2: int, p1: int, p2: int) -> Verdict:
@@ -307,9 +288,7 @@ def classify_biquadratic(d1: int, d2: int, p1: int, p2: int) -> Verdict:
     The quadratic criterion with every splitting condition required in both
     subfields at once, and d ≡ 1 (mod 8) required of both d1 and d2.
     """
-    row = _biquadratic_row(d1, d2)
-    arith.require_distinct_primes(p1, p2)
-    return row.decide(p1, p2)
+    return classify(Biquadratic(d1, d2), p1, p2)
 
 
 def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
@@ -320,10 +299,7 @@ def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
     sufficient condition fails).  Other n are unsupported here (the oracle
     module still covers them).
     """
-    m = cyclotomic.canonical_n(n)
-    arith.require_distinct_primes(p1, p2)
-    verdict = _cyclotomic_row(m).decide(p1, p2)
-    return verdict if m == n else _reduced(_n_label(n, m), verdict)
+    return classify(Cyclotomic(n), p1, p2)
 
 
 def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
@@ -333,69 +309,60 @@ def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
     the cyclotomic one whatever the radicand is; it is therefore not a
     parameter.  ell**k must be below 2**64.
     """
-    _require_ell_power(ell, k)
-    return _reduced(_kummer_label(ell, k), classify_cyclotomic(ell**k, p1, p2))
+    return classify(Kummer(ell, k), p1, p2)
 
 
-def _require_ell_power(ell: int, k: int) -> None:
-    if ell < 2 or not arith.is_prime(ell) or ell % 4 != 3:
-        raise BadModulusError(f"need a prime l ≡ 3 (mod 4), got {ell}")
-    if k < 1:
-        raise InvalidInputError(f"exponent k must be >= 1, got {k}")
-    # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
-    if k >= 64 or ell**k > arith.UINT64_MAX:
-        raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
-
-
-def _resolve(field: FieldDescriptor) -> tuple[_Row, tuple[str, ...]]:
-    """Check field as classify does; its row and the reduction labels classify puts first."""
+def _resolve(field: FieldDescriptor) -> _Row:
+    """Check field; its row, with the reduction steps of Kummer and non-canonical n on the verdicts."""
     match field:
         case Quadratic(d):
-            return _quadratic_row(d), ()
+            return _Row(_criterion, (quadratic.make_quadratic(d).discriminant,), d % 8 == 1, _THM31)
         case Biquadratic(d1, d2):
-            return _biquadratic_row(d1, d2), ()
+            discs = (quadratic.make_quadratic(d1).discriminant, quadratic.make_quadratic(d2).discriminant)
+            if d1 == d2:
+                raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
+            return _Row(_criterion, discs, d1 % 8 == 1 and d2 % 8 == 1, _THM34)
         case Cyclotomic(n):
             m = cyclotomic.canonical_n(n)
-            return _cyclotomic_row(m), (() if m == n else (_n_label(n, m),))
+            row = _cyclotomic_row(m)
+            return row if m == n else _reduced(f"reduction/n{n}→n{m}", row)
         case Kummer(ell, k):
-            _require_ell_power(ell, k)
-            row, labels = _resolve(Cyclotomic(ell**k))
-            return row, (_kummer_label(ell, k),) + labels
+            if ell < 2 or not arith.is_prime(ell) or ell % 4 != 3:
+                raise BadModulusError(f"need a prime l ≡ 3 (mod 4), got {ell}")
+            if k < 1:
+                raise InvalidInputError(f"exponent k must be >= 1, got {k}")
+            # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
+            if k >= 64 or ell**k > arith.UINT64_MAX:
+                raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
+            return _reduced(f"reduction/kummer({ell}^{k})→cyclotomic({ell**k})", _resolve(Cyclotomic(ell**k)))
         case Rational():
             raise UnsupportedFieldError("no closed-form criterion over Q; use ramified_places")
     raise UnsupportedFieldError(f"unrecognized field descriptor: {field!r}")
 
 
 def sweep_classifier(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int, int], Verdict]:
-    """classify(field, p1, p2) for every pair of distinct p1, p2 taken from primes.
+    """The decision for H(p1, p2) over field, for distinct p1, p2 taken from primes.
 
-    For a verify sweep: the field is checked and resolved, and every prime is
-    proved prime, once here instead of per pair.  Whether each prime splits
-    in the field's subfield is tabulated, and the reduction steps are put on
-    the verdicts up front, so a pair costs one symbol (p1|p2) and lookups.
-    The returned function trusts its arguments.
+    The field is checked and resolved, and every prime is proved prime, once
+    here instead of per pair.  Whether each prime splits in the field's
+    subfield is tabulated, and the reduction steps are on the verdicts up
+    front, so a pair costs one symbol (p1|p2) and lookups.  The returned
+    function trusts its arguments.
     """
-    row, labels = _resolve(field)
+    row = _resolve(field)
     for p in primes:
         arith.require_prime(p)
     split = frozenset(p for p in primes if p != 2 and _splits(row.discs, p))
-    verdicts = row.verdicts
-    for label in reversed(labels):
-        verdicts = tuple(_reduced(label, verdict) for verdict in verdicts)
-    return partial(row.rule, split.__contains__, row.escape, verdicts)
+    return partial(row.rule, split.__contains__, row.escape, row.verdicts)
 
 
 def classify(field: FieldDescriptor, p1: int, p2: int) -> Verdict:
-    """Dispatch on a field descriptor."""
-    match field:
-        case Quadratic(d):
-            return classify_quadratic(d, p1, p2)
-        case Biquadratic(d1, d2):
-            return classify_biquadratic(d1, d2, p1, p2)
-        case Cyclotomic(n):
-            return classify_cyclotomic(n, p1, p2)
-        case Kummer(ell, k):
-            return classify_kummer(ell, k, p1, p2)
-        case Rational():
-            raise UnsupportedFieldError("no closed-form criterion over Q; use ramified_places")
-    raise UnsupportedFieldError(f"unrecognized field descriptor: {field!r}")
+    """The decision for H(p1, p2) over field: sweep_classifier run on the one pair.
+
+    The field is checked before the primes, then p1 and p2 are proved
+    distinct primes.
+    """
+    verdict_of = sweep_classifier(field, (p1, p2))
+    if p1 == p2:
+        raise EqualPrimesError(f"the two primes must be distinct, got {p1} twice")
+    return verdict_of(p1, p2)

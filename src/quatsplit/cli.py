@@ -6,9 +6,10 @@ Subcommands:
   verify        sweep all ordered pairs of distinct primes <= max-prime,
                 comparing the classifier against the local-global oracle
 
-Exit codes: 0 ok, 2 bad arguments, 3 unsupported field, 4 verify found
-disagreements (the report is still written), 5 an internal invariant failed
-(a defect in quatsplit, never a property of the input).
+Exit codes: 0 ok, 2 bad arguments (including a verify --out path that
+cannot be written), 3 unsupported field, 4 verify found disagreements (the
+report is still written), 5 an internal invariant failed (a defect in
+quatsplit, never a property of the input).
 """
 
 from __future__ import annotations
@@ -281,8 +282,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     report = build_sweep_report(field, args.max_prime)
     body = _REPORT_RENDERERS[args.format](report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(body)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                handle.write(body)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
         sys.stdout.write(
             f"wrote {args.out}: pairs={len(report.rows)} agree={report.agree} "
             f"disagree={report.disagree} unknown={report.unknown}\n"

@@ -147,10 +147,11 @@ def discriminant_fast_path(p: int, q: int) -> int | None:
 
 
 def _fast_path_ordered(p: int, q: int) -> int | None:
-    if p % 4 == 3 and q % 4 == 3 and arith.legendre(q, p) != 1:
+    # discriminant_fast_path proved p, q prime, and each symbol's modulus is odd.
+    if p % 4 == 3 and q % 4 == 3 and arith.legendre_unchecked(q, p) != 1:
         return 2 * p
     if q == 2 and p % 8 == 3:
         return 2 * p
-    if q != 2 and (p % 4 == 1 or q % 4 == 1) and arith.legendre(p, q) == -1:
+    if q != 2 and (p % 4 == 1 or q % 4 == 1) and arith.legendre_unchecked(p, q) == -1:
         return p * q
     return None

@@ -45,10 +45,20 @@ def test_quadratic_pinned():
     assert v.fired == ()
 
 
-def test_quadratic_symmetric_in_primes():
-    for d in (-7, -3, -1, 2, 5, -11, 13):
+SYMMETRY_FIELDS = (
+    [Quadratic(d) for d in (-7, -3, -1, 2, 5, -11, 13)]
+    + [Biquadratic(-1, 2), Biquadratic(-1, -3), Biquadratic(17, -7)]
+    + [Cyclotomic(n) for n in (*range(3, 13), 27)]
+    + [Kummer(3, 2), Kummer(7, 1), Kummer(11, 2)]
+)
+
+
+def test_symmetric_in_primes():
+    """H(p1, p2) and H(p2, p1) are isomorphic, so every field decides them alike."""
+    for field in SYMMETRY_FIELDS:
         for p1, p2 in PAIRS_100:
-            assert classify_quadratic(d, p1, p2).outcome is classify_quadratic(d, p2, p1).outcome, (d, p1, p2)
+            a, b = classify(field, p1, p2), classify(field, p2, p1)
+            assert (a.outcome, a.certainty) == (b.outcome, b.certainty), (field, p1, p2)
 
 
 def test_biquadratic_pinned():

@@ -25,7 +25,7 @@ from quatsplit.cli import (
     parse_field_spec,
     render_report_csv,
 )
-from quatsplit.errors import InvalidInputError
+from quatsplit.errors import InvalidInputError, UnsupportedFieldError
 from quatsplit.oracle import division_oracle, local_degree, sweep_oracle
 
 
@@ -109,6 +109,30 @@ def test_classify_error_exit_codes(capsys):
     assert code == EXIT_BAD_ARGS
     code, _, _ = run_cli(capsys, "classify", "--field", "nonsense", "--p", "3", "--q", "2")
     assert code == EXIT_BAD_ARGS
+
+
+BAD_FIELD_EXIT_CODES = {
+    "quadratic:12": EXIT_BAD_ARGS,
+    "biquadratic:-1,-1": EXIT_BAD_ARGS,
+    "cyclotomic:13": EXIT_UNSUPPORTED,
+    "kummer:5^1": EXIT_UNSUPPORTED,
+    "kummer:3^20000": EXIT_BAD_ARGS,
+}
+
+
+@pytest.mark.parametrize("primes", [(4, 3), (3, 3)], ids=["non-prime", "repeated"])
+@pytest.mark.parametrize("spec", BAD_FIELD_EXIT_CODES)
+def test_field_checked_before_primes(capsys, spec, primes):
+    """A bad field fails as it does with good primes, whatever is wrong with the primes."""
+    field = parse_field_spec(spec)
+    with pytest.raises((InvalidInputError, UnsupportedFieldError)) as field_error:
+        classify(field, 7, 3)
+    with pytest.raises((InvalidInputError, UnsupportedFieldError)) as error:
+        classify(field, *primes)
+    assert type(error.value) is type(field_error.value)
+    assert str(error.value) == str(field_error.value)
+    p, q = map(str, primes)
+    assert run_cli(capsys, "classify", "--field", spec, "--p", p, "--q", q)[0] == BAD_FIELD_EXIT_CODES[spec]
 
 
 def test_kummer_power_bound_exit_codes(capsys):
@@ -235,6 +259,16 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
     assert out_path.exists()
     body = out_path.read_text(encoding="utf-8")
     assert ",false," in body
+
+
+def test_verify_unwritable_out(capsys, tmp_path):
+    """A report path that cannot be opened is a bad argument, not a traceback."""
+    for out_path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run_cli(
+            capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "20", "--out", str(out_path)
+        )
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert err.startswith(f"error: cannot write {out_path}")
 
 
 SWEEP_FIELDS = (

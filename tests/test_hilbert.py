@@ -158,6 +158,25 @@ def test_fast_path_rejects_equal_primes():
         discriminant_fast_path(5, 5)
 
 
+def test_fast_path_proves_each_prime_once(monkeypatch):
+    """The fast path proves p and q prime once each; its symbols do not prove them again."""
+    import quatsplit.arith as arith_module
+
+    calls = 0
+    is_prime = arith_module.is_prime
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return is_prime(n)
+
+    monkeypatch.setattr(arith_module, "is_prime", counted)
+    for p, q in ((7, 3), (3, 7), (3, 2), (5, 3), (2, 5), (13, 3), (19, 11)):
+        calls = 0
+        discriminant_fast_path(p, q)
+        assert calls <= 2, (p, q, calls)
+
+
 def test_fast_path_agrees_with_ramified_places():
     primes = primes_up_to(200)
     covered = 0
