@@ -1,6 +1,7 @@
 """CLI surface: formats, exit codes, report determinism, round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -178,6 +179,118 @@ def test_ramification_json_and_csv(capsys):
     assert rows[1] == ["3", "2", "2;3", "6"]
 
 
+# Exact bodies of the point commands: (argv, body) for each format.
+POINT_BODIES = [
+    (
+        ("classify", "--field", "cyclotomic:9", "--p", "19", "--q", "2"),
+        "field: cyclotomic:9\np1: 19\np2: 2\noutcome: Division\ncertainty: Exact\ntrace: prop3.6/case2:hit\n",
+    ),
+    (
+        ("classify", "--field", "cyclotomic:9", "--p", "19", "--q", "2", "--format", "json"),
+        '{\n  "field": "cyclotomic:9",\n  "p1": 19,\n  "p2": 2,\n  "outcome": "Division",\n'
+        '  "certainty": "Exact",\n  "trace": [\n    {\n      "criterion": "prop3.6/case2",\n'
+        '      "fired": true\n    }\n  ]\n}\n',
+    ),
+    (
+        ("classify", "--field", "cyclotomic:9", "--p", "19", "--q", "2", "--format", "csv"),
+        "field,p1,p2,classify,certainty,trace\ncyclotomic:9,19,2,Division,Exact,prop3.6/case2:hit\n",
+    ),
+    # The CLI canonicalizes n = 14 to 7, so the body carries no reduction step ...
+    (
+        ("classify", "--field", "cyclotomic:14", "--p", "3", "--q", "2"),
+        "field: cyclotomic:7\np1: 3\np2: 2\noutcome: Division\ncertainty: Exact\ntrace: prop3.3/case2:hit\n",
+    ),
+    (
+        ("classify", "--field", "cyclotomic:14", "--p", "3", "--q", "2", "--format", "json"),
+        '{\n  "field": "cyclotomic:7",\n  "p1": 3,\n  "p2": 2,\n  "outcome": "Division",\n'
+        '  "certainty": "Exact",\n  "trace": [\n    {\n      "criterion": "prop3.3/case2",\n'
+        '      "fired": true\n    }\n  ]\n}\n',
+    ),
+    (
+        ("classify", "--field", "cyclotomic:14", "--p", "3", "--q", "2", "--format", "csv"),
+        "field,p1,p2,classify,certainty,trace\ncyclotomic:7,3,2,Division,Exact,prop3.3/case2:hit\n",
+    ),
+    # ... while a Kummer field does.
+    (
+        ("classify", "--field", "kummer:7^1", "--p", "3", "--q", "2"),
+        "field: kummer:7^1\np1: 3\np2: 2\noutcome: Division\ncertainty: Exact\n"
+        "trace: reduction/kummer(7^1)→cyclotomic(7):hit|prop3.3/case2:hit\n",
+    ),
+    (
+        ("classify", "--field", "kummer:7^1", "--p", "3", "--q", "2", "--format", "json"),
+        '{\n  "field": "kummer:7^1",\n  "p1": 3,\n  "p2": 2,\n  "outcome": "Division",\n'
+        '  "certainty": "Exact",\n  "trace": [\n    {\n      "criterion": "reduction/kummer(7^1)→cyclotomic(7)",\n'
+        '      "fired": true\n    },\n    {\n      "criterion": "prop3.3/case2",\n'
+        '      "fired": true\n    }\n  ]\n}\n',
+    ),
+    (
+        ("classify", "--field", "kummer:7^1", "--p", "3", "--q", "2", "--format", "csv"),
+        "field,p1,p2,classify,certainty,trace\n"
+        "kummer:7^1,3,2,Division,Exact,reduction/kummer(7^1)→cyclotomic(7):hit|prop3.3/case2:hit\n",
+    ),
+    (
+        ("classify", "--field", "cyclotomic:5", "--p", "7", "--q", "3"),
+        "field: cyclotomic:5\np1: 7\np2: 3\noutcome: Unknown\ncertainty: SufficientOnly\n"
+        "trace: prop3.9/p1≡1mod5:miss|prop3.9/p2≡1mod5:miss\n",
+    ),
+    (
+        ("classify", "--field", "cyclotomic:5", "--p", "7", "--q", "3", "--format", "json"),
+        '{\n  "field": "cyclotomic:5",\n  "p1": 7,\n  "p2": 3,\n  "outcome": "Unknown",\n'
+        '  "certainty": "SufficientOnly",\n  "trace": [\n    {\n      "criterion": "prop3.9/p1≡1mod5",\n'
+        '      "fired": false\n    },\n    {\n      "criterion": "prop3.9/p2≡1mod5",\n'
+        '      "fired": false\n    }\n  ]\n}\n',
+    ),
+    (
+        ("classify", "--field", "cyclotomic:5", "--p", "7", "--q", "3", "--format", "csv"),
+        "field,p1,p2,classify,certainty,trace\n"
+        "cyclotomic:5,7,3,Unknown,SufficientOnly,prop3.9/p1≡1mod5:miss|prop3.9/p2≡1mod5:miss\n",
+    ),
+    (
+        ("ramification", "--a", "3", "--b", "2"),
+        "a: 3\nb: 2\nramified: 2 3\nreduced_discriminant: 6\n",
+    ),
+    (
+        ("ramification", "--a", "3", "--b", "2", "--format", "json"),
+        '{\n  "a": 3,\n  "b": 2,\n  "ramified": [\n    "2",\n    "3"\n  ],\n  "reduced_discriminant": 6\n}\n',
+    ),
+    (
+        ("ramification", "--a", "3", "--b", "2", "--format", "csv"),
+        "a,b,ramified,reduced_discriminant\n3,2,2;3,6\n",
+    ),
+    (
+        ("ramification", "--a", "7", "--b", "2"),
+        "a: 7\nb: 2\nramified: (none)\nreduced_discriminant: 1\n",
+    ),
+    (
+        ("ramification", "--a", "7", "--b", "2", "--format", "json"),
+        '{\n  "a": 7,\n  "b": 2,\n  "ramified": [],\n  "reduced_discriminant": 1\n}\n',
+    ),
+    (
+        ("ramification", "--a", "7", "--b", "2", "--format", "csv"),
+        "a,b,ramified,reduced_discriminant\n7,2,,1\n",
+    ),
+    (
+        ("ramification", "--a", "-1", "--b", "-1"),
+        "a: -1\nb: -1\nramified: 2 inf\nreduced_discriminant: 2\n",
+    ),
+    (
+        ("ramification", "--a", "-1", "--b", "-1", "--format", "json"),
+        '{\n  "a": -1,\n  "b": -1,\n  "ramified": [\n    "2",\n    "inf"\n  ],\n  "reduced_discriminant": 2\n}\n',
+    ),
+    (
+        ("ramification", "--a", "-1", "--b", "-1", "--format", "csv"),
+        "a,b,ramified,reduced_discriminant\n-1,-1,2;inf,2\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, body", POINT_BODIES, ids=[" ".join(argv) for argv, _ in POINT_BODIES])
+def test_point_command_body(capsys, argv, body):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert out == body
+
+
 def test_ramification_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "ramification", "--a", "0", "--b", "5")
     assert code == EXIT_BAD_ARGS and "error:" in err
@@ -259,6 +372,58 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
     assert out_path.exists()
     body = out_path.read_text(encoding="utf-8")
     assert ",false," in body
+
+
+def _forced_oracle(field, primes):
+    """A bogus sweep oracle: Division when p1 < p2, else Split."""
+    from quatsplit.classify import Outcome
+
+    return lambda p1, p2: Outcome.DIVISION if p1 < p2 else Outcome.SPLIT
+
+
+# verify cyclotomic:5 --max-prime 13 under _forced_oracle: Unknown rows with
+# p1 < p2 are UNCOVERED, Division rows with p1 > p2 are DISAGREE.
+FORCED_TEXT = """field: cyclotomic:5
+max_prime: 13
+pairs: 30
+agree: 3
+disagree: 3
+unknown: 24
+UNCOVERED p1=2 p2=3 oracle=Division
+UNCOVERED p1=2 p2=5 oracle=Division
+UNCOVERED p1=2 p2=7 oracle=Division
+UNCOVERED p1=2 p2=13 oracle=Division
+UNCOVERED p1=3 p2=5 oracle=Division
+UNCOVERED p1=3 p2=7 oracle=Division
+UNCOVERED p1=3 p2=11 oracle=Division
+UNCOVERED p1=3 p2=13 oracle=Division
+UNCOVERED p1=5 p2=7 oracle=Division
+UNCOVERED p1=5 p2=11 oracle=Division
+UNCOVERED p1=5 p2=13 oracle=Division
+UNCOVERED p1=7 p2=13 oracle=Division
+DISAGREE p1=11 p2=2 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:hit|prop3.9/p2≡1mod5:miss
+DISAGREE p1=11 p2=7 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:hit|prop3.9/p2≡1mod5:miss
+DISAGREE p1=13 p2=11 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:miss|prop3.9/p2≡1mod5:hit
+"""
+
+FORCED_SHA256 = {
+    "csv": "d057a261446569e7a48be9e39a3cf9a2dc4c10b0adbc86e843abf74e677ad035",
+    "json": "9c55363194dea762d1211c52e0c40ce3d08b3d0779487b6826e779d5cb223a23",
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_disagree_and_uncovered_bodies(capsys, monkeypatch, fmt):
+    """The DISAGREE and UNCOVERED lines, and the csv/json bodies that carry them, are pinned."""
+    import quatsplit.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "sweep_oracle", _forced_oracle)
+    code, out, _ = run_cli(capsys, "verify", "--field", "cyclotomic:5", "--max-prime", "13", "--format", fmt)
+    assert code == EXIT_DISAGREEMENTS
+    if fmt == "text":
+        assert out == FORCED_TEXT
+    else:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORCED_SHA256[fmt]
 
 
 def test_verify_unwritable_out(capsys, tmp_path):
