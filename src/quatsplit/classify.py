@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple, Union
 
 from . import arith, cyclotomic, quadratic
@@ -312,8 +312,12 @@ def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
     return classify(Kummer(ell, k), p1, p2)
 
 
+@lru_cache(maxsize=64)
 def _resolve(field: FieldDescriptor) -> _Row:
-    """Check field; its row, with the reduction steps of Kummer and non-canonical n on the verdicts."""
+    """Check field; its row, with the reduction steps of Kummer and non-canonical n on the verdicts.
+
+    Cached: descriptors are frozen, and a bad field raises, so only good rows are kept.
+    """
     match field:
         case Quadratic(d):
             return _Row(_criterion, (quadratic.make_quadratic(d).discriminant,), d % 8 == 1, _THM31)

@@ -19,13 +19,14 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 from . import arith, cyclotomic
 from .classify import (
     Biquadratic,
-    Certainty,
     Cyclotomic,
     FieldDescriptor,
     Kummer,
@@ -77,42 +78,47 @@ def format_trace(verdict: Verdict) -> str:
     return "|".join(f"{s.criterion}:{'hit' if s.fired else 'miss'}" for s in verdict.trace)
 
 
+# --- report writers ----------------------------------------------------------
+
+
+def _csv_body(rows: Iterable[Iterable[object]]) -> str:
+    """rows as CSV, header row included, with "\n" line ends."""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _json_body(payload: object) -> str:
+    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
+
+def _text_body(items: Iterable[tuple[str, object]]) -> str:
+    """One "key: value" line per item."""
+    return "".join(f"{key}: {value}\n" for key, value in items)
+
+
 # --- classify ----------------------------------------------------------------
-
-
-def _render_classify(field: FieldDescriptor, p1: int, p2: int, verdict: Verdict, fmt: str) -> str:
-    if fmt == "json":
-        payload = {
-            "field": str(field),
-            "p1": p1,
-            "p2": p2,
-            "outcome": verdict.outcome.value,
-            "certainty": verdict.certainty.value,
-            "trace": [{"criterion": s.criterion, "fired": s.fired} for s in verdict.trace],
-        }
-        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    if fmt == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["field", "p1", "p2", "classify", "certainty", "trace"])
-        writer.writerow(
-            [str(field), p1, p2, verdict.outcome.value, verdict.certainty.value, format_trace(verdict)]
-        )
-        return buffer.getvalue()
-    return (
-        f"field: {field}\n"
-        f"p1: {p1}\n"
-        f"p2: {p2}\n"
-        f"outcome: {verdict.outcome.value}\n"
-        f"certainty: {verdict.certainty.value}\n"
-        f"trace: {format_trace(verdict)}\n"
-    )
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     field = parse_field_spec(args.field)
     verdict = classify(field, args.p, args.q)
-    sys.stdout.write(_render_classify(field, args.p, args.q, verdict, args.format))
+    record = {
+        "field": str(field),
+        "p1": args.p,
+        "p2": args.q,
+        "outcome": verdict.outcome.value,
+        "certainty": verdict.certainty.value,
+        "trace": format_trace(verdict),
+    }
+    if args.format == "json":
+        record["trace"] = [{"criterion": s.criterion, "fired": s.fired} for s in verdict.trace]
+        body = _json_body(record)
+    elif args.format == "csv":
+        body = _csv_body([("field", "p1", "p2", "classify", "certainty", "trace"), record.values()])
+    else:
+        body = _text_body(record.items())
+    sys.stdout.write(body)
     return EXIT_OK
 
 
@@ -122,26 +128,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_ramification(args: argparse.Namespace) -> int:
     data = ramified_places(args.a, args.b)
     places = [str(v) for v in data.ramified]
+    record = {"a": args.a, "b": args.b, "ramified": places, "reduced_discriminant": data.reduced_discriminant}
     if args.format == "json":
-        payload = {
-            "a": args.a,
-            "b": args.b,
-            "ramified": places,
-            "reduced_discriminant": data.reduced_discriminant,
-        }
-        sys.stdout.write(json.dumps(payload, ensure_ascii=False, indent=2) + "\n")
+        body = _json_body(record)
     elif args.format == "csv":
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["a", "b", "ramified", "reduced_discriminant"])
-        writer.writerow([args.a, args.b, ";".join(places), data.reduced_discriminant])
-        sys.stdout.write(buffer.getvalue())
+        body = _csv_body([record.keys(), {**record, "ramified": ";".join(places)}.values()])
     else:
-        shown = " ".join(places) if places else "(none)"
-        sys.stdout.write(
-            f"a: {args.a}\nb: {args.b}\nramified: {shown}\n"
-            f"reduced_discriminant: {data.reduced_discriminant}\n"
-        )
+        body = _text_body({**record, "ramified": " ".join(places) or "(none)"}.items())
+    sys.stdout.write(body)
     return EXIT_OK
 
 
@@ -149,11 +143,14 @@ def _cmd_ramification(args: argparse.Namespace) -> int:
 
 
 class SweepRow(NamedTuple):
+    """One verify row as the reports show it: the fields are the JSON row keys
+    and, after "field", the CSV columns."""
+
     p1: int
     p2: int
-    classify_outcome: Outcome
-    classify_certainty: Certainty
-    oracle_outcome: Outcome
+    classify: str
+    certainty: str
+    oracle: str
     agree: bool
     trace: str
 
@@ -182,8 +179,9 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     verdict_of = sweep_classifier(field, primes)
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     oracle_of = sweep_oracle(oracle_field, primes)
-    # The sweep's verdicts come from a few shared objects: format each trace once.
-    traces: dict[int, str] = {}
+    # The sweep's verdicts are a few objects the classifier keeps alive:
+    # render each one's classify, certainty and trace cells once.
+    cells: dict[int, tuple[str, str, str]] = {}
     rows = []
     agree = disagree = unknown = 0
     for p1 in primes:
@@ -199,77 +197,55 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
                 agree += 1
             else:
                 disagree += 1
-            trace = traces.get(id(verdict))
-            if trace is None:
-                trace = traces[id(verdict)] = format_trace(verdict)
-            rows.append(
-                SweepRow(p1, p2, verdict.outcome, verdict.certainty, oracle_outcome, matches, trace)
-            )
+            if id(verdict) not in cells:
+                cells[id(verdict)] = (verdict.outcome.value, verdict.certainty.value, format_trace(verdict))
+            outcome, certainty, trace = cells[id(verdict)]
+            rows.append(SweepRow(p1, p2, outcome, certainty, oracle_outcome.value, matches, trace))
     return SweepReport(
         field=field, max_prime=max_prime, rows=tuple(rows), agree=agree, disagree=disagree, unknown=unknown
     )
 
 
 def render_report_csv(report: SweepReport) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "p1", "p2", "classify", "certainty", "oracle", "agree", "trace"])
-    for row in report.rows:
-        writer.writerow(
-            [
-                str(report.field),
-                row.p1,
-                row.p2,
-                row.classify_outcome.value,
-                row.classify_certainty.value,
-                row.oracle_outcome.value,
-                "true" if row.agree else "false",
-                row.trace,
-            ]
-        )
-    return buffer.getvalue()
+    field = str(report.field)
+    rows = (
+        (field, p1, p2, outcome, certainty, oracle, "true" if agree else "false", trace)
+        for p1, p2, outcome, certainty, oracle, agree, trace in report.rows
+    )
+    return _csv_body(chain([("field", *SweepRow._fields)], rows))
 
 
 def render_report_json(report: SweepReport) -> str:
     payload = {
         "field": str(report.field),
         "max_prime": report.max_prime,
-        "rows": [
-            {
-                "p1": row.p1,
-                "p2": row.p2,
-                "classify": row.classify_outcome.value,
-                "certainty": row.classify_certainty.value,
-                "oracle": row.oracle_outcome.value,
-                "agree": row.agree,
-                "trace": row.trace,
-            }
-            for row in report.rows
-        ],
+        "rows": [row._asdict() for row in report.rows],
         "summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown},
     }
-    return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    return _json_body(payload)
 
 
 def render_report_text(report: SweepReport) -> str:
-    lines = [
-        f"field: {report.field}",
-        f"max_prime: {report.max_prime}",
-        f"pairs: {len(report.rows)}",
-        f"agree: {report.agree}",
-        f"disagree: {report.disagree}",
-        f"unknown: {report.unknown}",
-    ]
+    summary = {
+        "field": report.field,
+        "max_prime": report.max_prime,
+        "pairs": len(report.rows),
+        "agree": report.agree,
+        "disagree": report.disagree,
+        "unknown": report.unknown,
+    }
+    lines = []
     for row in report.rows:
-        if row.classify_outcome is not Outcome.UNKNOWN and not row.agree:
-            lines.append(
-                f"DISAGREE p1={row.p1} p2={row.p2} classify={row.classify_outcome.value} "
-                f"oracle={row.oracle_outcome.value} trace={row.trace}"
-            )
-        elif row.classify_outcome is Outcome.UNKNOWN and row.oracle_outcome is Outcome.DIVISION:
+        if row.classify != "Unknown":
+            if not row.agree:
+                lines.append(
+                    f"DISAGREE p1={row.p1} p2={row.p2} classify={row.classify} "
+                    f"oracle={row.oracle} trace={row.trace}\n"
+                )
+        elif row.oracle == "Division":
             # division algebras the sufficient condition missed (informational)
-            lines.append(f"UNCOVERED p1={row.p1} p2={row.p2} oracle=Division")
-    return "\n".join(lines) + "\n"
+            lines.append(f"UNCOVERED p1={row.p1} p2={row.p2} oracle=Division\n")
+    return _text_body(summary.items()) + "".join(lines)
 
 
 _REPORT_RENDERERS = {"csv": render_report_csv, "json": render_report_json, "text": render_report_text}

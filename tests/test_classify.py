@@ -1,5 +1,7 @@
 """Decision criteria: pinned examples, coherence sweeps, and error contracts."""
 
+import importlib
+
 import pytest
 
 from quatsplit.arith import primes_up_to
@@ -179,6 +181,29 @@ def test_kummer_matches_cyclotomic():
             a = classify_kummer(ell, k, p1, p2)
             b = classify_cyclotomic(ell**k, p1, p2)
             assert a.outcome is b.outcome and a.certainty is b.certainty, (ell, k, p1, p2)
+
+
+def test_point_classify_relabels_once(monkeypatch):
+    """A field's reduction steps are put on its verdicts once, not on every classify call."""
+    # The package's `classify` attribute is the function, so fetch the module by name.
+    classify_module = importlib.import_module("quatsplit.classify")
+    calls = 0
+    reduced = classify_module._reduced
+
+    def counted(label, row):
+        nonlocal calls
+        calls += 1
+        return reduced(label, row)
+
+    monkeypatch.setattr(classify_module, "_reduced", counted)
+    classify_module._resolve.cache_clear()
+    try:
+        first = classify(Kummer(7, 1), 3, 2)
+        second = classify(Kummer(7, 1), 11, 5)
+    finally:
+        classify_module._resolve.cache_clear()
+    assert calls == 1
+    assert first.trace[0] == second.trace[0] == ("reduction/kummer(7^1)→cyclotomic(7)", True)
 
 
 def test_kummer_rejects_bad_modulus():

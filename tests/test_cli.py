@@ -460,10 +460,12 @@ def test_verify_round_trip(field):
     assert len(report.rows) == n_primes * (n_primes - 1)
     for row in report.rows:
         verdict = classify(field, row.p1, row.p2)
-        assert verdict.outcome is row.classify_outcome
-        assert verdict.certainty is row.classify_certainty
-        assert format_trace(verdict) == row.trace
-        assert row.oracle_outcome is division_oracle(oracle_field, row.p1, row.p2)
+        assert row.classify == verdict.outcome.value
+        assert row.certainty == verdict.certainty.value
+        assert row.trace == format_trace(verdict)
+        oracle_outcome = division_oracle(oracle_field, row.p1, row.p2)
+        assert row.oracle == oracle_outcome.value
+        assert row.agree is (verdict.outcome is oracle_outcome)
     assert report.agree + report.disagree + report.unknown == len(report.rows)
     # rendering is pure
     assert render_report_csv(report) == render_report_csv(report)
