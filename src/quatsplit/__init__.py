@@ -11,7 +11,6 @@ from .classify import (
     Kummer,
     Outcome,
     Quadratic,
-    Rational,
     TraceStep,
     Verdict,
     classify,
@@ -62,7 +61,6 @@ __all__ = [
     "Quadratic",
     "QuadraticField",
     "RamificationData",
-    "Rational",
     "SplittingType",
     "TraceStep",
     "UnsupportedFieldError",

@@ -134,16 +134,21 @@ def euler_phi(n: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Smallest f >= 1 with a**f == 1 (mod n); needs n >= 2 and gcd(a, n) == 1."""
+    """Smallest f >= 1 with a**f == 1 (mod n); needs n >= 2 and gcd(a, n) == 1.
+
+    The order divides the group order phi(n): start from phi(n) and divide
+    out each prime q of it while a**(f/q) stays 1 (Cohen, Alg. 1.4.3), so it
+    takes O(log n) pow calls once n and phi(n) are factored.
+    """
     if n < 2:
         raise InvalidInputError(f"multiplicative_order expects n >= 2, got {n}")
     a %= n
     if math.gcd(a, n) != 1:
         raise InvalidInputError(f"multiplicative_order needs gcd(a, n) = 1, got gcd = {math.gcd(a, n)}")
-    x, f = a, 1
-    while x != 1:
-        x = x * a % n
-        f += 1
+    f = euler_phi(n)
+    for q, _ in factorize(f):
+        while f % q == 0 and pow(a, f // q, n) == 1:
+            f //= q
     return f
 
 

@@ -79,12 +79,6 @@ class Verdict:
 
 
 @dataclass(frozen=True)
-class Rational:
-    def __str__(self) -> str:
-        return "rational"
-
-
-@dataclass(frozen=True)
 class Quadratic:
     d: int
 
@@ -118,7 +112,7 @@ class Kummer:
         return f"kummer:{self.ell}^{self.k}"
 
 
-FieldDescriptor = Union[Rational, Quadratic, Biquadratic, Cyclotomic, Kummer]
+FieldDescriptor = Union[Quadratic, Biquadratic, Cyclotomic, Kummer]
 
 
 # --- the thm3.1/thm3.4 criterion ---------------------------------------------
@@ -339,8 +333,6 @@ def _resolve(field: FieldDescriptor) -> _Row:
             if k >= 64 or ell**k > arith.UINT64_MAX:
                 raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
             return _reduced(f"reduction/kummer({ell}^{k})→cyclotomic({ell**k})", _resolve(Cyclotomic(ell**k)))
-        case Rational():
-            raise UnsupportedFieldError("no closed-form criterion over Q; use ramified_places")
     raise UnsupportedFieldError(f"unrecognized field descriptor: {field!r}")
 
 

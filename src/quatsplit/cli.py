@@ -182,6 +182,7 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     # The sweep's verdicts are a few objects the classifier keeps alive:
     # render each one's classify, certainty and trace cells once.
     cells: dict[int, tuple[str, str, str]] = {}
+    oracle_cell = {outcome: outcome.value for outcome in Outcome}
     rows = []
     agree = disagree = unknown = 0
     for p1 in primes:
@@ -200,7 +201,7 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
             if id(verdict) not in cells:
                 cells[id(verdict)] = (verdict.outcome.value, verdict.certainty.value, format_trace(verdict))
             outcome, certainty, trace = cells[id(verdict)]
-            rows.append(SweepRow(p1, p2, outcome, certainty, oracle_outcome.value, matches, trace))
+            rows.append(SweepRow(p1, p2, outcome, certainty, oracle_cell[oracle_outcome], matches, trace))
     return SweepReport(
         field=field, max_prime=max_prime, rows=tuple(rows), agree=agree, disagree=disagree, unknown=unknown
     )

@@ -87,10 +87,6 @@ class RamificationData:
     ramified: tuple[Place, ...]
     reduced_discriminant: int
 
-    @property
-    def splits_over_q(self) -> bool:
-        return self.reduced_discriminant == 1
-
 
 def ramified_places(a: int, b: int) -> RamificationData:
     """Evaluate the local symbol at infinity and at every prime dividing 2ab.

@@ -165,6 +165,19 @@ def test_multiplicative_order_divides_phi():
         checked += 1
 
 
+def test_multiplicative_order_matches_stepping():
+    """The order from phi(n) equals the first power that steps back to 1."""
+    for n in range(2, 400):
+        for a in range(60):
+            if math.gcd(a, n) != 1:
+                continue
+            x, f = a % n, 1
+            while x != 1:
+                x = x * a % n
+                f += 1
+            assert multiplicative_order(a, n) == f, (a, n)
+
+
 def test_factorize_and_squarefree():
     assert factorize(1) == []
     assert factorize(7918) == [(2, 1), (37, 1), (107, 1)]

@@ -492,6 +492,39 @@ def test_verify_validates_each_prime_once(monkeypatch):
     assert calls <= 2 * len(primes_up_to(200)) + 4
 
 
+def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
+    """The oracle runs once per unordered pair, the classifier once per ordered pair."""
+    import quatsplit.cli as cli_module
+    import quatsplit.oracle as oracle_module
+
+    oracle_calls = classifier_calls = 0
+    ramified_among = oracle_module.ramified_among
+    sweep_classifier_of = cli_module.sweep_classifier
+
+    def counted_ramified_among(a, b, places):
+        nonlocal oracle_calls
+        oracle_calls += 1
+        return ramified_among(a, b, places)
+
+    def counted_sweep_classifier(field, primes):
+        verdict_of = sweep_classifier_of(field, primes)
+
+        def counted(p1, p2):
+            nonlocal classifier_calls
+            classifier_calls += 1
+            return verdict_of(p1, p2)
+
+        return counted
+
+    monkeypatch.setattr(oracle_module, "ramified_among", counted_ramified_among)
+    monkeypatch.setattr(cli_module, "sweep_classifier", counted_sweep_classifier)
+    report = build_sweep_report(Cyclotomic(7), 200)
+    n = len(primes_up_to(200))
+    assert len(report.rows) == n * (n - 1)
+    assert oracle_calls == n * (n - 1) // 2
+    assert classifier_calls == n * (n - 1)
+
+
 def test_sweep_entries_prove_their_primes():
     """Both sweep entries reject a non-prime before any pair is decided."""
     for build in (sweep_classifier, sweep_oracle):
@@ -510,6 +543,20 @@ def test_verify_kummer_huge_exponent_exits_promptly():
     )
     assert result.returncode == EXIT_BAD_ARGS
     assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["cyclotomic:999999999959", "kummer:999999999959^1"])
+def test_verify_large_cyclotomic_index_exits_promptly(spec):
+    """Local degrees need the order of p mod n, which must not step through ~n powers of p."""
+    result = subprocess.run(
+        [sys.executable, "-m", "quatsplit", "verify", "--field", spec, "--max-prime", "20"],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "pairs: 56\nagree: 56\n" in result.stdout
 
 
 def test_module_entry_point():

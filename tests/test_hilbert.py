@@ -106,14 +106,12 @@ def test_ramified_places_pinned():
     data = ramified_places(7, 2)
     assert data.ramified == ()
     assert data.reduced_discriminant == 1
-    assert data.splits_over_q
 
 
 def test_ramified_places_negative_arguments():
     data = ramified_places(-1, -1)
     assert [str(v) for v in data.ramified] == ["2", "inf"]
     assert data.reduced_discriminant == 2
-    assert not data.splits_over_q
 
 
 def test_split_detection():

@@ -9,7 +9,6 @@ from quatsplit.classify import (
     Kummer,
     Outcome,
     Quadratic,
-    Rational,
     classify_quadratic,
 )
 from quatsplit.errors import EqualPrimesError, InternalInvariantError, UnsupportedFieldError
@@ -26,7 +25,8 @@ def test_local_degree_pinned():
     assert local_degree(Quadratic(-7), Place(2)) == 1
     assert local_degree(Quadratic(-3), Place(2)) == 2
     assert local_degree(Quadratic(-3), Place(3)) == 2
-    assert local_degree(Rational(), Place(17)) == 1
+    # 17 ≡ 1 (mod 8) splits completely in Q(zeta_8): K_v = Q_v
+    assert local_degree(Cyclotomic(8), Place(17)) == 1
 
 
 def test_local_degree_infinite_place():
@@ -35,7 +35,6 @@ def test_local_degree_infinite_place():
     assert local_degree(Quadratic(5), INFINITE_PLACE) == 1
     assert local_degree(Biquadratic(-1, 2), INFINITE_PLACE) == 2
     assert local_degree(Biquadratic(2, 5), INFINITE_PLACE) == 1
-    assert local_degree(Rational(), INFINITE_PLACE) == 1
 
 
 def test_local_degree_biquadratic_values():
@@ -76,7 +75,6 @@ def test_division_oracle_validates_primes():
 
 def test_empty_ramification_splits_everywhere():
     fields = [
-        Rational(),
         Quadratic(-3),
         Quadratic(5),
         Biquadratic(-1, -3),
