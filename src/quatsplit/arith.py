@@ -8,6 +8,7 @@ non-issue beyond that.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 
 from .errors import EqualPrimesError, InvalidInputError
 
@@ -146,7 +147,16 @@ def multiplicative_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise InvalidInputError(f"multiplicative_order needs gcd(a, n) = 1, got gcd = {math.gcd(a, n)}")
     f = euler_phi(n)
-    for q, _ in factorize(f):
+    return order_dividing(a, n, f, [q for q, _ in factorize(f)])
+
+
+def order_dividing(a: int, n: int, f: int, primes: Iterable[int]) -> int:
+    """multiplicative_order(a, n) from a multiple f of it and the primes of f.
+
+    The caller vouches that a**f == 1 (mod n) and that primes lists every
+    prime dividing f; then only O(log f) pow calls are left.
+    """
+    for q in primes:
         while f % q == 0 and pow(a, f // q, n) == 1:
             f //= q
     return f

@@ -10,6 +10,11 @@ Exit codes: 0 ok, 2 bad arguments (including a verify --out path that
 cannot be written), 3 unsupported field, 4 verify found disagreements (the
 report is still written), 5 an internal invariant failed (a defect in
 quatsplit, never a property of the input).
+
+verify streams its report as the pairs run. With --out it writes a new file
+beside the path and moves it there only when the report is complete, so an
+exit 5 leaves the path as it was. On stdout an exit 5 can leave a partial
+CSV or JSON body (never a partial text body: its summary needs every pair).
 """
 
 from __future__ import annotations
@@ -18,10 +23,10 @@ import argparse
 import csv
 import io
 import json
+import os
+import stat
 import sys
-from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain
+from collections.abc import Callable, Iterable, Iterator
 from typing import NamedTuple
 
 from . import arith, cyclotomic
@@ -155,101 +160,204 @@ class SweepRow(NamedTuple):
     trace: str
 
 
-@dataclass(frozen=True)
 class SweepReport:
-    field: FieldDescriptor
-    max_prime: int
-    rows: tuple[SweepRow, ...]
-    agree: int
-    disagree: int
-    unknown: int
+    """A verify sweep that runs as it is iterated.
+
+    Iterating it runs the pair loop and yields the rows one block per p1, as
+    a list[SweepRow] in ascending p2, so no more than one block is ever held.
+    The loop tallies pairs, agree, disagree and unknown as the blocks pass:
+    they are final once the iteration is done, and each new iteration starts
+    them again from zero.
+    """
+
+    def __init__(
+        self,
+        field: FieldDescriptor,
+        max_prime: int,
+        primes: list[int],
+        verdict_of: Callable[[int, int], Verdict],
+        oracle_of: Callable[[int, int], Outcome],
+    ):
+        self.field = field
+        self.max_prime = max_prime
+        self.pairs = self.agree = self.disagree = self.unknown = 0
+        self._primes = primes
+        self._verdict_of = verdict_of
+        self._oracle_of = oracle_of
+
+    def __iter__(self) -> Iterator[list[SweepRow]]:
+        primes, verdict_of, oracle_of = self._primes, self._verdict_of, self._oracle_of
+        # The sweep's verdicts are a few objects the classifier keeps alive:
+        # render each one's classify, certainty and trace cells once.
+        cells: dict[int, tuple[str, str, str]] = {}
+        # keyed by id: an Outcome hashes in Python code, once per pair here
+        oracle_cell = {id(outcome): outcome.value for outcome in Outcome}
+        unknown_outcome = Outcome.UNKNOWN
+        self.pairs = self.agree = self.disagree = self.unknown = 0
+        for p1 in primes:
+            block = []
+            agree = disagree = unknown = 0
+            for p2 in primes:
+                if p1 == p2:
+                    continue
+                verdict = verdict_of(p1, p2)
+                oracle_outcome = oracle_of(p1, p2)
+                matches = verdict.outcome is oracle_outcome
+                if verdict.outcome is unknown_outcome:
+                    unknown += 1
+                elif matches:
+                    agree += 1
+                else:
+                    disagree += 1
+                if id(verdict) not in cells:
+                    cells[id(verdict)] = (
+                        verdict.outcome.value, verdict.certainty.value, format_trace(verdict)
+                    )
+                outcome, certainty, trace = cells[id(verdict)]
+                oracle = oracle_cell[id(oracle_outcome)]
+                block.append(SweepRow(p1, p2, outcome, certainty, oracle, matches, trace))
+            self.pairs += len(block)
+            self.agree += agree
+            self.disagree += disagree
+            self.unknown += unknown
+            yield block
 
 
 def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     """Compare classifier and oracle on every ordered pair of distinct primes.
 
     The field is checked and each prime proved prime once, by the sweep
-    entries of the classifier and of the oracle; the pair loop then runs on
-    their per-prime tables.  For Kummer fields the oracle runs over
-    Q(zeta_{l**k}): the radical layer has odd degree, so the division/split
-    answer transfers unchanged.
+    entries of the classifier and of the oracle, before this returns: a bad
+    field fails here, before any output exists. The pair loop then runs on
+    their per-prime tables as the returned report is iterated. For Kummer
+    fields the oracle runs over Q(zeta_{l**k}): the radical layer has odd
+    degree, so the division/split answer transfers unchanged.
     """
     primes = arith.primes_up_to(max_prime)
     # The classifier checks the field first, Kummer's l**k < 2**64 bound included.
     verdict_of = sweep_classifier(field, primes)
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     oracle_of = sweep_oracle(oracle_field, primes)
-    # The sweep's verdicts are a few objects the classifier keeps alive:
-    # render each one's classify, certainty and trace cells once.
-    cells: dict[int, tuple[str, str, str]] = {}
-    oracle_cell = {outcome: outcome.value for outcome in Outcome}
-    rows = []
-    agree = disagree = unknown = 0
-    for p1 in primes:
-        for p2 in primes:
-            if p1 == p2:
-                continue
-            verdict = verdict_of(p1, p2)
-            oracle_outcome = oracle_of(p1, p2)
-            matches = verdict.outcome is oracle_outcome
-            if verdict.outcome is Outcome.UNKNOWN:
-                unknown += 1
-            elif matches:
-                agree += 1
-            else:
-                disagree += 1
-            if id(verdict) not in cells:
-                cells[id(verdict)] = (verdict.outcome.value, verdict.certainty.value, format_trace(verdict))
-            outcome, certainty, trace = cells[id(verdict)]
-            rows.append(SweepRow(p1, p2, outcome, certainty, oracle_cell[oracle_outcome], matches, trace))
-    return SweepReport(
-        field=field, max_prime=max_prime, rows=tuple(rows), agree=agree, disagree=disagree, unknown=unknown
-    )
+    return SweepReport(field, max_prime, primes, verdict_of, oracle_of)
 
 
-def render_report_csv(report: SweepReport) -> str:
+# Each renderer yields the report body in chunks as the report's blocks pass,
+# so a body is never held whole: CSV and JSON one chunk per block, text one
+# chunk at the end, since its summary comes first and it keeps only the counts
+# and its few DISAGREE/UNCOVERED lines.
+
+
+def render_report_csv(report: SweepReport) -> Iterator[str]:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+
+    def drain() -> str:
+        chunk = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return chunk
+
     field = str(report.field)
-    rows = (
-        (field, p1, p2, outcome, certainty, oracle, "true" if agree else "false", trace)
-        for p1, p2, outcome, certainty, oracle, agree, trace in report.rows
-    )
-    return _csv_body(chain([("field", *SweepRow._fields)], rows))
+    writer.writerow(("field", *SweepRow._fields))
+    yield drain()
+    for block in report:
+        writer.writerows(
+            (field, p1, p2, outcome, certainty, oracle, "true" if agree else "false", trace)
+            for p1, p2, outcome, certainty, oracle, agree, trace in block
+        )
+        yield drain()
 
 
-def render_report_json(report: SweepReport) -> str:
-    payload = {
-        "field": str(report.field),
-        "max_prime": report.max_prime,
-        "rows": [row._asdict() for row in report.rows],
-        "summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown},
-    }
-    return _json_body(payload)
+# A row as json.dumps(..., indent=2) lays it out inside "rows".
+_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in SweepRow._fields) + "\n    }"
 
 
-def render_report_text(report: SweepReport) -> str:
+def render_report_json(report: SweepReport) -> Iterator[str]:
+    """_json_body of {field, max_prime, rows, summary}, written as the rows arrive."""
+    head = _json_body({"field": str(report.field), "max_prime": report.max_prime, "rows": []})
+    # head ends with '  "rows": []\n}\n'; the rows go between the brackets.
+    yield head[: -len("]\n}\n")]
+    quoted: dict[str, str] = {}  # the few distinct string cells, each JSON-encoded once
+
+    def q(cell: str) -> str:
+        if cell not in quoted:
+            quoted[cell] = json.dumps(cell, ensure_ascii=False)
+        return quoted[cell]
+
+    separator = "\n"
+    for block in report:
+        if block:
+            yield separator + ",\n".join(
+                _JSON_ROW
+                % (p1, p2, q(outcome), q(certainty), q(oracle), "true" if agree else "false", q(trace))
+                for p1, p2, outcome, certainty, oracle, agree, trace in block
+            )
+            separator = ",\n"
+    summary = {"summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown}}
+    # '{\n  "summary": ...' continues the payload after its rows.
+    yield ("]" if separator == "\n" else "\n  ]") + "," + _json_body(summary)[1:]
+
+
+def render_report_text(report: SweepReport) -> Iterator[str]:
+    """The summary, then the DISAGREE and UNCOVERED lines: the only rows kept."""
+    lines = []
+    for block in report:
+        for row in block:
+            if row.classify != "Unknown":
+                if not row.agree:
+                    lines.append(
+                        f"DISAGREE p1={row.p1} p2={row.p2} classify={row.classify} "
+                        f"oracle={row.oracle} trace={row.trace}\n"
+                    )
+            elif row.oracle == "Division":
+                # division algebras the sufficient condition missed (informational)
+                lines.append(f"UNCOVERED p1={row.p1} p2={row.p2} oracle=Division\n")
     summary = {
         "field": report.field,
         "max_prime": report.max_prime,
-        "pairs": len(report.rows),
+        "pairs": report.pairs,
         "agree": report.agree,
         "disagree": report.disagree,
         "unknown": report.unknown,
     }
-    lines = []
-    for row in report.rows:
-        if row.classify != "Unknown":
-            if not row.agree:
-                lines.append(
-                    f"DISAGREE p1={row.p1} p2={row.p2} classify={row.classify} "
-                    f"oracle={row.oracle} trace={row.trace}\n"
-                )
-        elif row.oracle == "Division":
-            # division algebras the sufficient condition missed (informational)
-            lines.append(f"UNCOVERED p1={row.p1} p2={row.p2} oracle=Division\n")
-    return _text_body(summary.items()) + "".join(lines)
+    yield _text_body(summary.items()) + "".join(lines)
 
 
 _REPORT_RENDERERS = {"csv": render_report_csv, "json": render_report_json, "text": render_report_text}
+
+
+def _write_report(path: str, chunks: Iterable[str]) -> None:
+    """Write chunks to a new file beside path, then move it onto path.
+
+    Whatever stops the writing (an exit 5 mid-sweep, a full disk) removes the
+    new file, and whatever was at path stays as it was. Symlinks are followed
+    and a replaced file keeps its mode, as when writing in place. A pipe or a
+    device (/dev/null, a shell's >(...)) is written in place: a rename would
+    replace it instead of writing to it.
+    """
+    target = os.path.realpath(path)
+    try:
+        try:
+            mode = os.stat(target).st_mode
+        except FileNotFoundError:
+            mode = 0  # a new file
+        if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+            with open(target, "w", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
+            return
+        partial = f"{target}.{os.urandom(4).hex()}.tmp"
+        handle = open(partial, "x", encoding="utf-8", newline="")
+        try:
+            with handle:
+                if stat.S_ISREG(mode):
+                    os.chmod(partial, stat.S_IMODE(mode))
+                handle.writelines(chunks)
+            os.replace(partial, target)
+        except BaseException:
+            os.remove(partial)
+            raise
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -257,19 +365,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--max-prime must be in [2, {MAX_SWEEP_PRIME}], got {args.max_prime}")
     field = parse_field_spec(args.field)
     report = build_sweep_report(field, args.max_prime)
-    body = _REPORT_RENDERERS[args.format](report)
+    chunks = _REPORT_RENDERERS[args.format](report)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                handle.write(body)
-        except OSError as exc:
-            raise InvalidInputError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
+        _write_report(args.out, chunks)
         sys.stdout.write(
-            f"wrote {args.out}: pairs={len(report.rows)} agree={report.agree} "
+            f"wrote {args.out}: pairs={report.pairs} agree={report.agree} "
             f"disagree={report.disagree} unknown={report.unknown}\n"
         )
     else:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
     return EXIT_DISAGREEMENTS if report.disagree else EXIT_OK
 
 

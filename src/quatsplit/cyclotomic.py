@@ -8,6 +8,7 @@ is arithmetic on n, p mod n, and symbols.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import arith
 from .errors import InvalidInputError
@@ -53,8 +54,20 @@ def factorization_shape_unchecked(p: int, n: int) -> FactorizationShape:
     while m % p == 0:
         m //= p
         p_power *= p
-    e = arith.euler_phi(p_power)
-    f = 1 if m <= 2 else arith.multiplicative_order(p, m)
-    g = arith.euler_phi(m) // f
-    return FactorizationShape(e=e, f=f, g=g)
+    phi_m, phi_m_primes = _unit_group(m)
+    f = arith.order_dividing(p, m, phi_m, phi_m_primes)
+    # phi(p**a) = p**a - p**(a-1), and 1 when a = 0
+    return FactorizationShape(e=p_power - p_power // p, f=f, g=phi_m // f)
+
+
+@lru_cache(maxsize=64)
+def _unit_group(m: int) -> tuple[int, tuple[int, ...]]:
+    """phi(m) and the primes dividing it, the start of every order mod m.
+
+    A field n meets at most 1 + omega(n) <= 16 moduli m (n with one prime
+    part removed), so a sweep factors each of them once instead of once per
+    prime.
+    """
+    phi = arith.euler_phi(m)
+    return phi, tuple(q for q, _ in arith.factorize(phi))
 

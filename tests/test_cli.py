@@ -1,12 +1,15 @@
 """CLI surface: formats, exit codes, report determinism, round-trips."""
 
+import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,7 @@ from quatsplit.cli import (
     main,
     parse_field_spec,
     render_report_csv,
+    render_report_json,
 )
 from quatsplit.errors import InvalidInputError, UnsupportedFieldError
 from quatsplit.oracle import division_oracle, local_degree, sweep_oracle
@@ -436,6 +440,138 @@ def test_verify_unwritable_out(capsys, tmp_path):
         assert err.startswith(f"error: cannot write {out_path}")
 
 
+# verify cyclotomic:7 --format json at --max-prime 2 (one prime, no pairs)
+# and 3 (two rows): the edges of the streamed JSON body.
+JSON_EDGE_BODIES = {
+    2: """{
+  "field": "cyclotomic:7",
+  "max_prime": 2,
+  "rows": [],
+  "summary": {
+    "agree": 0,
+    "disagree": 0,
+    "unknown": 0
+  }
+}
+""",
+    3: """{
+  "field": "cyclotomic:7",
+  "max_prime": 3,
+  "rows": [
+    {
+      "p1": 2,
+      "p2": 3,
+      "classify": "Division",
+      "certainty": "Exact",
+      "oracle": "Division",
+      "agree": true,
+      "trace": "prop3.3/case2:hit"
+    },
+    {
+      "p1": 3,
+      "p2": 2,
+      "classify": "Division",
+      "certainty": "Exact",
+      "oracle": "Division",
+      "agree": true,
+      "trace": "prop3.3/case2:hit"
+    }
+  ],
+  "summary": {
+    "agree": 2,
+    "disagree": 0,
+    "unknown": 0
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("max_prime", sorted(JSON_EDGE_BODIES))
+def test_verify_json_edge_bodies(capsys, max_prime):
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "cyclotomic:7", "--max-prime", str(max_prime), "--format", "json"
+    )
+    assert code == EXIT_OK
+    assert out == JSON_EDGE_BODIES[max_prime]
+
+
+def _failing_oracle(field, primes):
+    """The real sweep oracle, until its 41st pair (in the third block) raises an invariant failure."""
+    from quatsplit.errors import InternalInvariantError
+
+    outcome_of = sweep_oracle(field, primes)
+    calls = 0
+
+    def outcome(p1, p2):
+        nonlocal calls
+        calls += 1
+        if calls > 40:
+            raise InternalInvariantError("forced after 40 pairs")
+        return outcome_of(p1, p2)
+
+    return outcome
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_verify_out_is_atomic(capsys, monkeypatch, tmp_path, fmt):
+    """An exit 5 mid-sweep leaves the old --out bytes, and no partial file, behind."""
+    import quatsplit.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "sweep_oracle", _failing_oracle)
+    old = tmp_path / "report"
+    old.write_bytes(b"an earlier report\n")
+    new = tmp_path / "new"
+    for out_path in (old, new):
+        code, out, err = run_cli(
+            capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "50",
+            "--format", fmt, "--out", str(out_path),
+        )
+        assert code == EXIT_INTERNAL and out == "" and "internal error:" in err
+    assert old.read_bytes() == b"an earlier report\n"
+    assert sorted(os.listdir(tmp_path)) == ["report"]
+
+
+def test_verify_out_replaces_a_file(capsys, tmp_path):
+    """A finished report replaces the file through a symlink, keeping its mode, as writing in place did."""
+    target = tmp_path / "report.csv"
+    target.write_text("stale\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target.name)
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "3", "--format", "csv", "--out", str(link)
+    )
+    assert code == EXIT_OK and out == f"wrote {link}: pairs=2 agree=2 disagree=0 unknown=0\n"
+    assert target.read_text(encoding="utf-8").startswith("field,p1,p2,")
+    assert link.is_symlink() and (target.stat().st_mode & 0o777) == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["latest.csv", "report.csv"]
+
+
+def test_verify_out_device_is_written_in_place(capsys):
+    """A device is not a file to replace: the report goes through it."""
+    code, out, _ = run_cli(
+        capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "3", "--out", os.devnull
+    )
+    assert code == EXIT_OK and out.startswith(f"wrote {os.devnull}: pairs=2 ")
+    assert os.path.exists(os.devnull) and not os.path.isfile(os.devnull)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_verify_memory_is_flat(tmp_path, fmt):
+    """A sweep holds one block of rows at a time, never the report: peak heap stays small."""
+    argv = ["verify", "--field", "kummer:11^1", "--max-prime", "1000", "--format", fmt]
+    argv += ["--out", str(tmp_path / f"report.{fmt}")]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == EXIT_OK  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            assert main(argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * 2**20, f"{fmt}: peak {peak / 2**20:.2f} MiB"
+
 SWEEP_FIELDS = (
     Cyclotomic(7),
     Cyclotomic(5),
@@ -456,9 +592,15 @@ def test_verify_round_trip(field):
     """Every sweep row equals the point path: classify and division_oracle on its pair."""
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     report = build_sweep_report(field, 60)
-    n_primes = len(primes_up_to(60))
-    assert len(report.rows) == n_primes * (n_primes - 1)
-    for row in report.rows:
+    primes = primes_up_to(60)
+    blocks = list(report)
+    # one block per p1, each in ascending p2
+    assert [[(row.p1, row.p2) for row in block] for block in blocks] == [
+        [(p1, p2) for p2 in primes if p2 != p1] for p1 in primes
+    ]
+    rows = [row for block in blocks for row in block]
+    assert report.pairs == len(rows) == len(primes) * (len(primes) - 1)
+    for row in rows:
         verdict = classify(field, row.p1, row.p2)
         assert row.classify == verdict.outcome.value
         assert row.certainty == verdict.certainty.value
@@ -466,9 +608,20 @@ def test_verify_round_trip(field):
         oracle_outcome = division_oracle(oracle_field, row.p1, row.p2)
         assert row.oracle == oracle_outcome.value
         assert row.agree is (verdict.outcome is oracle_outcome)
-    assert report.agree + report.disagree + report.unknown == len(report.rows)
-    # rendering is pure
-    assert render_report_csv(report) == render_report_csv(report)
+    assert report.unknown == sum(row.classify == "Unknown" for row in rows)
+    assert report.agree == sum(row.classify != "Unknown" and row.agree for row in rows)
+    assert report.disagree == sum(row.classify != "Unknown" and not row.agree for row in rows)
+    # the streamed JSON is json.dumps of the whole payload, byte for byte
+    payload = {
+        "field": str(field),
+        "max_prime": 60,
+        "rows": [row._asdict() for row in rows],
+        "summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown},
+    }
+    assert "".join(render_report_json(report)) == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    # rendering is pure, and each iteration starts the tallies again
+    assert "".join(render_report_csv(report)) == "".join(render_report_csv(report))
+    assert report.pairs == len(rows)
 
 
 def test_verify_validates_each_prime_once(monkeypatch):
@@ -486,10 +639,13 @@ def test_verify_validates_each_prime_once(monkeypatch):
     monkeypatch.setattr(arith_module, "is_prime", counted)
     local_degree.cache_clear()
     try:
-        build_sweep_report(Cyclotomic(7), 200)
+        # consume the report: its pairs run only as it is iterated
+        rows = sum(len(block) for block in build_sweep_report(Cyclotomic(7), 200))
     finally:
         local_degree.cache_clear()
-    assert calls <= 2 * len(primes_up_to(200)) + 4
+    n = len(primes_up_to(200))
+    assert rows == n * (n - 1)
+    assert calls <= 2 * n + 4
 
 
 def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
@@ -520,9 +676,40 @@ def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
     monkeypatch.setattr(cli_module, "sweep_classifier", counted_sweep_classifier)
     report = build_sweep_report(Cyclotomic(7), 200)
     n = len(primes_up_to(200))
-    assert len(report.rows) == n * (n - 1)
+    assert (oracle_calls, classifier_calls) == (0, 0)  # nothing runs before the report is iterated
+    rows = [len(block) for block in report]
+    assert rows == [n - 1] * n
+    assert report.pairs == n * (n - 1)
     assert oracle_calls == n * (n - 1) // 2
     assert classifier_calls == n * (n - 1)
+
+
+@pytest.mark.parametrize("max_prime", [60, 200])
+def test_sweep_factors_the_cyclotomic_modulus_once(monkeypatch, max_prime):
+    """The modulus and its totient are factored once per field, not once per sweep prime."""
+    import quatsplit.arith as arith_module
+    import quatsplit.cyclotomic as cyclotomic_module
+
+    classify_module = importlib.import_module("quatsplit.classify")
+    calls = 0
+    factorize = arith_module.factorize
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return factorize(n)
+
+    monkeypatch.setattr(arith_module, "factorize", counted)
+    caches = (classify_module._resolve, cyclotomic_module._unit_group, local_degree)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        report = build_sweep_report(Cyclotomic(999999999959), max_prime)
+        assert sum(len(block) for block in report) == report.pairs > 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert calls <= 6
 
 
 def test_sweep_entries_prove_their_primes():
