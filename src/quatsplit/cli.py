@@ -7,29 +7,37 @@ Subcommands:
                 comparing the classifier against the local-global oracle
 
 Exit codes: 0 ok, 2 bad arguments (including a verify --out path that
-cannot be written), 3 unsupported field, 4 verify found disagreements (the
-report is still written), 5 an internal invariant failed (a defect in
-quatsplit, never a property of the input).
+cannot be written, and a ramification |a| or |b| of 2**64 or more), 3
+unsupported field, 4 verify found disagreements (the report is still
+written), 5 an internal invariant failed (a defect in quatsplit, never a
+property of the input).
 
-verify streams its report as the pairs run. With --out it writes a new file
-beside the path and moves it there only when the report is complete, so an
-exit 5 leaves the path as it was. On stdout an exit 5 can leave a partial
-CSV or JSON body (never a partial text body: its summary needs every pair).
+verify streams its report as the pairs run. A sweep of WORKER_MIN_PAIRS
+pairs or more computes its rows in forked workers, one per usable CPU (see
+the workers module); there, any exception, and a worker that dies without a
+word, is exit 5 with "internal error: <message>", and every worker is killed
+and reaped however the sweep ends. With --out it writes a new file beside the
+path and moves it there only when the report is complete, so an exit 5
+leaves the path as it was. On stdout an exit 5 can leave a partial CSV or
+JSON body (never a partial text body: its summary needs every pair).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import os
 import stat
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from operator import itemgetter
 from typing import NamedTuple
 
-from . import arith, cyclotomic
+from . import arith, cyclotomic, workers
 from .classify import (
     Biquadratic,
     Cyclotomic,
@@ -52,6 +60,10 @@ EXIT_DISAGREEMENTS = 4
 EXIT_INTERNAL = 5
 
 MAX_SWEEP_PRIME = 10_000
+# A verify sweep of fewer pairs (max-prime below about 600) runs in this
+# process: below about 5,000 pairs, forking workers and reading their pipes
+# costs more than they save.
+WORKER_MIN_PAIRS = 10_000
 
 
 def parse_field_spec(text: str) -> FieldDescriptor:
@@ -131,6 +143,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramification(args: argparse.Namespace) -> int:
+    # ramified_places factors a and b by trial division: bound them before it runs.
+    for name, value in (("a", args.a), ("b", args.b)):
+        if abs(value) > arith.UINT64_MAX:
+            raise InvalidInputError(f"--{name} must be below 2**64 in absolute value")
     data = ramified_places(args.a, args.b)
     places = [str(v) for v in data.ramified]
     record = {"a": args.a, "b": args.b, "ramified": places, "reduced_discriminant": data.reduced_discriminant}
@@ -168,6 +184,11 @@ class SweepReport:
     The loop tallies pairs, agree, disagree and unknown as the blocks pass:
     they are final once the iteration is done, and each new iteration starts
     them again from zero.
+
+    The rows' verdicts and oracle outcomes come from _RowKernel as codes. A
+    sweep of WORKER_MIN_PAIRS pairs or more runs the kernel in forked workers
+    (see the workers module), a smaller one in this process. Either way the
+    blocks are built here, from the same codes.
     """
 
     def __init__(
@@ -186,41 +207,111 @@ class SweepReport:
         self._oracle_of = oracle_of
 
     def __iter__(self) -> Iterator[list[SweepRow]]:
-        primes, verdict_of, oracle_of = self._primes, self._verdict_of, self._oracle_of
-        # The sweep's verdicts are a few objects the classifier keeps alive:
-        # render each one's classify, certainty and trace cells once.
-        cells: dict[int, tuple[str, str, str]] = {}
-        # keyed by id: an Outcome hashes in Python code, once per pair here
-        oracle_cell = {id(outcome): outcome.value for outcome in Outcome}
-        unknown_outcome = Outcome.UNKNOWN
+        primes = self._primes
+        n = len(primes)
+        symmetric = getattr(self._oracle_of, "symmetric", False)
+        kernel = _RowKernel(primes, self._verdict_of, self._oracle_of, symmetric)
+        # A symmetric oracle is asked only about p2 > p1. Its codes are kept
+        # for the p2 < p1 half of later rows: slot j*(j-1)/2 + i holds the
+        # pair of indices i < j, so each row reads its half as one slice.
+        triangle = bytearray(n * (n - 1) // 2 if symmetric else 0)
+        make = tuple.__new__
         self.pairs = self.agree = self.disagree = self.unknown = 0
-        for p1 in primes:
-            block = []
-            agree = disagree = unknown = 0
-            for p2 in primes:
-                if p1 == p2:
-                    continue
-                verdict = verdict_of(p1, p2)
-                oracle_outcome = oracle_of(p1, p2)
-                matches = verdict.outcome is oracle_outcome
-                if verdict.outcome is unknown_outcome:
-                    unknown += 1
-                elif matches:
-                    agree += 1
+        forked = workers.start(kernel, n) if n * (n - 1) >= WORKER_MIN_PAIRS else []
+        # Verdict codes are per kernel, so per worker: each has its own table
+        # of row tails, indexed by verdict code and then by oracle code.
+        tables: list[list[list[_Tail]]] = [[] for _ in range(len(forked) or 1)]
+        try:
+            for i, p1 in enumerate(primes):
+                if forked:
+                    cells, verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)])
                 else:
-                    disagree += 1
-                if id(verdict) not in cells:
-                    cells[id(verdict)] = (
-                        verdict.outcome.value, verdict.certainty.value, format_trace(verdict)
-                    )
-                outcome, certainty, trace = cells[id(verdict)]
-                oracle = oracle_cell[id(oracle_outcome)]
-                block.append(SweepRow(p1, p2, outcome, certainty, oracle, matches, trace))
-            self.pairs += len(block)
-            self.agree += agree
-            self.disagree += disagree
-            self.unknown += unknown
-            yield block
+                    cells, verdict_codes, oracle_codes = kernel(i)
+                table = tables[i % len(tables)]
+                table.extend(_row_tails(*verdict) for verdict in cells)
+                if symmetric:
+                    for j, code in enumerate(oracle_codes, i + 1):
+                        triangle[j * (j - 1) // 2 + i] = code
+                    start = i * (i - 1) // 2
+                    oracle_codes = triangle[start : start + i] + oracle_codes
+                tails = [table[verdict][oracle] for verdict, oracle in zip(verdict_codes, oracle_codes)]
+                # tuple.__new__ is SweepRow(...) without its Python-level __new__
+                others = primes[:i] + primes[i + 1 :]
+                block = [make(SweepRow, (p1, p2) + cells) for p2, (cells, _) in zip(others, tails)]
+                counts = Counter(map(itemgetter(1), tails))
+                self.pairs += len(block)
+                self.agree += counts[0]
+                self.disagree += counts[1]
+                self.unknown += counts[2]
+                yield block
+        finally:
+            workers.stop(forked)
+
+
+_OUTCOMES = tuple(Outcome)  # an oracle code is the outcome's index here
+
+# The cells of a row after p1 and p2, and its tally: 0 agree, 1 disagree, 2 unknown.
+_Tail = tuple[tuple[str, str, str, bool, str], int]
+
+
+def _row_tails(classify: str, certainty: str, trace: str) -> list[_Tail]:
+    """The tail of a row with this verdict's cells, for each oracle code."""
+    outcome = Outcome(classify)
+    return [
+        (
+            (classify, certainty, oracle.value, outcome is oracle, trace),
+            2 if outcome is Outcome.UNKNOWN else int(outcome is not oracle),
+        )
+        for oracle in _OUTCOMES
+    ]
+
+
+class _RowKernel:
+    """The pair work of sweep row i, for p1 = primes[i], as compact codes.
+
+    Calling it with i returns (cells, verdict codes, oracle codes). The
+    verdict codes are one byte per other p2, in ascending order: the index of
+    the verdict among those this kernel has met, in the order it met them.
+    cells holds (classify, certainty, trace) of each verdict first met in
+    this row. The oracle codes are one byte per p2 the oracle is asked
+    about, the index of its outcome in _OUTCOMES: every other p2, or only
+    p2 > p1 when the oracle is symmetric.
+    """
+
+    def __init__(
+        self,
+        primes: list[int],
+        verdict_of: Callable[[int, int], Verdict],
+        oracle_of: Callable[[int, int], Outcome],
+        symmetric: bool,
+    ):
+        self._primes = primes
+        self._verdict_of = verdict_of
+        self._oracle_of = oracle_of
+        self._symmetric = symmetric
+        self._codes: dict[int, int] = {}  # keyed by id: a Verdict hashes in Python code
+        self._met: list[Verdict] = []  # keeps each id in _codes its verdict's
+        self._oracle_codes = {id(outcome): code for code, outcome in enumerate(_OUTCOMES)}
+
+    def __call__(self, i: int) -> tuple[list[tuple[str, str, str]], bytes, bytes]:
+        primes, verdict_of, oracle_of, codes = self._primes, self._verdict_of, self._oracle_of, self._codes
+        p1 = primes[i]
+        verdicts = [verdict_of(p1, p2) for p2 in primes[:i] + primes[i + 1 :]]
+        cells = []
+        for verdict in verdicts:
+            if id(verdict) not in codes:
+                if len(self._met) == 256:
+                    raise InternalInvariantError("a sweep met more than 256 distinct verdicts")
+                codes[id(verdict)] = len(self._met)
+                self._met.append(verdict)
+                cells.append((verdict.outcome.value, verdict.certainty.value, format_trace(verdict)))
+        asked = primes[i + 1 :] if self._symmetric else primes[:i] + primes[i + 1 :]
+        oracle_codes = self._oracle_codes
+        return (
+            cells,
+            bytes([codes[id(verdict)] for verdict in verdicts]),
+            bytes([oracle_codes[id(oracle_of(p1, p2))] for p2 in asked]),
+        )
 
 
 def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
@@ -365,15 +456,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise InvalidInputError(f"--max-prime must be in [2, {MAX_SWEEP_PRIME}], got {args.max_prime}")
     field = parse_field_spec(args.field)
     report = build_sweep_report(field, args.max_prime)
-    chunks = _REPORT_RENDERERS[args.format](report)
-    if args.out:
-        _write_report(args.out, chunks)
-        sys.stdout.write(
-            f"wrote {args.out}: pairs={report.pairs} agree={report.agree} "
-            f"disagree={report.disagree} unknown={report.unknown}\n"
-        )
-    else:
-        sys.stdout.writelines(chunks)
+    # Closed however the writing ends, so that a sweep's workers stop with it.
+    with contextlib.closing(_REPORT_RENDERERS[args.format](report)) as chunks:
+        if args.out:
+            _write_report(args.out, chunks)
+            sys.stdout.write(
+                f"wrote {args.out}: pairs={report.pairs} agree={report.agree} "
+                f"disagree={report.disagree} unknown={report.unknown}\n"
+            )
+        else:
+            sys.stdout.writelines(chunks)
     return EXIT_DISAGREEMENTS if report.disagree else EXIT_OK
 
 

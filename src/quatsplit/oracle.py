@@ -92,11 +92,6 @@ def division_oracle(field: FieldDescriptor, p1: int, p2: int) -> Outcome:
     return _decide(ram.ramified, lambda v: local_degree(field, v) % 2 == 1, p1, p2)
 
 
-# sweep_oracle's outcome codes; 0 marks a pair not yet evaluated.
-_BY_CODE = (None, Outcome.DIVISION, Outcome.SPLIT)
-_CODE = {Outcome.DIVISION: 1, Outcome.SPLIT: 2}
-
-
 def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int, int], Outcome]:
     """division_oracle(field, p1, p2) for every pair of distinct p1, p2 taken from primes.
 
@@ -106,32 +101,23 @@ def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int
     H_Q(p1, p2), with the same product-formula and infinite-place checks as
     division_oracle.  The local symbols are symmetric, (a, b)_v = (b, a)_v at
     every place (Serre, A Course in Arithmetic, III.1.1), so H(p1, p2) and
-    H(p2, p1) have the same answer: each unordered pair is evaluated once,
-    and its outcome is kept in a triangular byte table for the other order.
-    The returned function trusts its arguments.
+    H(p2, p1) have the same answer: the returned function says so with its
+    `symmetric` attribute, and a sweep asks it about each unordered pair once.
+    It trusts its arguments.
     """
     places = {p: Place(p) for p in primes}
     two = Place(2)
     odd = frozenset(p for p, v in places.items() if local_degree(field, v) % 2 == 1)
-    index = {p: i for i, p in enumerate(places)}
-    # Slot j*(j-1)/2 + i holds the pair of indices i < j.
-    codes = bytearray(len(index) * (len(index) - 1) // 2)
 
     def odd_degree(v: Place) -> bool:
         return v.prime in odd
 
     def outcome(p1: int, p2: int) -> Outcome:
-        i, j = index[p1], index[p2]
-        slot = j * (j - 1) // 2 + i if i < j else i * (i - 1) // 2 + j
-        code = codes[slot]
-        if code:
-            return _BY_CODE[code]
         lo, hi = (p1, p2) if p1 < p2 else (p2, p1)
         candidates = (places[lo], places[hi]) if lo == 2 else (two, places[lo], places[hi])
-        result = _decide(ramified_among(p1, p2, candidates), odd_degree, p1, p2)
-        codes[slot] = _CODE[result]
-        return result
+        return _decide(ramified_among(p1, p2, candidates), odd_degree, p1, p2)
 
+    outcome.symmetric = True
     return outcome
 
 

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -298,6 +299,30 @@ def test_point_command_body(capsys, argv, body):
 def test_ramification_rejects_zero(capsys):
     code, _, err = run_cli(capsys, "ramification", "--a", "0", "--b", "5")
     assert code == EXIT_BAD_ARGS and "error:" in err
+
+
+def test_ramification_bounds_its_arguments(capsys):
+    """|a| and |b| must be below 2**64; 2**64 - 1 itself is in range."""
+    top = str(2**64 - 1)
+    code, out, _ = run_cli(capsys, "ramification", "--a", top, "--b", f"-{top}")
+    assert code == EXIT_OK and out.startswith(f"a: {top}\nb: -{top}\n")
+    for name, argv in (("--a", ("--a", str(2**64), "--b", "3")), ("--b", ("--a", "3", "--b", str(-(2**64))))):
+        code, out, err = run_cli(capsys, "ramification", *argv)
+        assert code == EXIT_BAD_ARGS and out == ""
+        assert err == f"error: {name} must be below 2**64 in absolute value\n"
+
+
+def test_ramification_huge_argument_exits_promptly():
+    """A 70-digit a is rejected before any trial division, so this cannot hang."""
+    result = subprocess.run(
+        [sys.executable, "-m", "quatsplit", "ramification", "--a", "7" * 70, "--b", "3"],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == EXIT_BAD_ARGS
+    assert result.stderr.startswith("error:")
 
 
 def test_verify_csv_report(capsys, tmp_path):
@@ -791,3 +816,196 @@ def test_internal_invariant_survives_optimize():
     )
     assert result.returncode == EXIT_INTERNAL, result.stderr
     assert "internal error:" in result.stderr
+
+
+# --- the worker path: sweeps whose rows forked workers compute ----------------
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_worker_path_forced_bodies(capsys, monkeypatch, sweep_workers, fmt):
+    """The pinned DISAGREE/UNCOVERED bodies of an oracle that is not symmetric, from workers."""
+    test_verify_disagree_and_uncovered_bodies(capsys, monkeypatch, fmt)
+
+
+@pytest.mark.parametrize("max_prime", sorted(JSON_EDGE_BODIES))
+def test_worker_path_json_edge_bodies(capsys, sweep_workers, max_prime):
+    """One prime (no pairs) and two: no more rows than workers."""
+    test_verify_json_edge_bodies(capsys, max_prime)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_worker_path_exception_exits_5(capsys, monkeypatch, sweep_workers, tmp_path, fmt):
+    """An invariant failure in a worker is exit 5, with the old --out bytes kept and no stray file."""
+    test_verify_out_is_atomic(capsys, monkeypatch, tmp_path, fmt)
+
+
+def _raising_oracle(field, primes):
+    """The real sweep oracle, until p1 = 23 meets a bug that is not an invariant failure."""
+    outcome_of = sweep_oracle(field, primes)
+
+    def outcome(p1, p2):
+        if p1 == 23:
+            raise ZeroDivisionError("forced at p1 = 23")
+        return outcome_of(p1, p2)
+
+    outcome.symmetric = True
+    return outcome
+
+
+def test_worker_path_any_exception_exits_5(capsys, monkeypatch, sweep_workers):
+    import quatsplit.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "sweep_oracle", _raising_oracle)
+    code, _, err = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "50")
+    assert code == EXIT_INTERNAL
+    assert err == "internal error: ZeroDivisionError: forced at p1 = 23\n"
+
+
+_KILLED_WORKER_SCRIPT = """
+import os, signal, sys
+import quatsplit.cli as cli
+cli.WORKER_MIN_PAIRS = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+parent, real = os.getpid(), cli.sweep_oracle
+
+def dying_oracle(field, primes):
+    outcome_of = real(field, primes)
+
+    def outcome(p1, p2):
+        if p1 == 23 and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return outcome_of(p1, p2)
+
+    outcome.symmetric = True
+    return outcome
+
+cli.sweep_oracle = dying_oracle
+code = cli.main(["verify", "--field", "cyclotomic:7", "--max-prime", "50", "--format", sys.argv[1]])
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit(code)
+sys.exit("a child is left")
+"""
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_worker_path_killed_worker_exits_5(fmt):
+    """A worker that dies without a word is exit 5, not a hang, and leaves no child behind."""
+    result = subprocess.run(
+        [sys.executable, "-c", _KILLED_WORKER_SCRIPT, fmt],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == EXIT_INTERNAL, result.stderr
+    assert result.stderr.startswith("internal error: sweep worker ")
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_path_write_error_stops_workers(capsys, sweep_workers):
+    """A report that cannot be written mid-sweep stops the workers with it."""
+    code, out, err = run_cli(
+        capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "300", "--format", "csv", "--out", "/dev/full"
+    )
+    _assert_no_child()
+    assert code == EXIT_BAD_ARGS and out == "" and err.startswith("error: cannot write /dev/full")
+
+
+class _InterruptedStdout(io.StringIO):
+    """Stdout that a KeyboardInterrupt hits once a few lines are written."""
+
+    def write(self, text):
+        if self.getvalue().count("\n") > 3:
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+def test_worker_path_interrupt_stops_workers(sweep_workers):
+    """A KeyboardInterrupt in the writer stops the workers, even while its traceback, which holds
+    the sweep's frames, is kept (as the interpreter keeps sys.last_traceback)."""
+    with pytest.raises(KeyboardInterrupt) as interrupted, contextlib.redirect_stdout(_InterruptedStdout()):
+        main(["verify", "--field", "cyclotomic:7", "--max-prime", "300", "--format", "csv"])
+    _assert_no_child()
+    assert interrupted.tb is not None
+
+
+def _stalling_oracle(field, primes):
+    """The real sweep oracle, except that a worker stalls for two minutes on the row of p1 = 3."""
+    outcome_of, parent, stalled = sweep_oracle(field, primes), os.getpid(), False
+
+    def outcome(p1, p2):
+        nonlocal stalled
+        if p1 == 3 and os.getpid() != parent and not stalled:
+            stalled = True
+            time.sleep(120)
+        return outcome_of(p1, p2)
+
+    outcome.symmetric = True
+    return outcome
+
+
+def test_worker_path_closed_report_stops_workers(monkeypatch, sweep_workers):
+    """A report iteration closed after its first block kills the workers, even one stuck in a row."""
+    import quatsplit.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "sweep_oracle", _stalling_oracle)
+    blocks = iter(build_sweep_report(Cyclotomic(7), 300))
+    assert [(row.p1, row.p2) for row in next(blocks)][:2] == [(2, 3), (2, 5)]
+    start = time.monotonic()
+    blocks.close()
+    assert time.monotonic() - start < 60
+    _assert_no_child()
+
+
+# sha256 of `verify --field cyclotomic:7 --max-prime 300 --format json`, as in tests/test_golden.py
+_GOLDEN_JSON_CYCLOTOMIC_7_300 = "f9a28ed38acfb717880d0985643d88b1738d9e058f089cb764f90a86e83bf791"
+
+
+def test_worker_path_fork_failure_runs_in_process(capsys, monkeypatch, sweep_workers):
+    """When the second fork fails, the first worker is stopped and the rows run here."""
+    fork, forks = os.fork, 0
+
+    def failing_second_fork():
+        nonlocal forks
+        forks += 1
+        if forks == 2:
+            raise BlockingIOError("fork: resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_second_fork)
+    code, out, _ = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "300", "--format", "json")
+    assert code == EXIT_OK and forks == 2
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GOLDEN_JSON_CYCLOTOMIC_7_300
+
+
+@pytest.mark.parametrize("why", ["one usable CPU", "another thread alive"])
+def test_verify_stays_in_process(capsys, monkeypatch, why):
+    """A sweep forks no worker with one usable CPU, or with a second thread that a fork would not copy."""
+    import threading
+
+    import quatsplit.cli as cli_module
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(cli_module, "WORKER_MIN_PAIRS", 0)
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    if why == "one usable CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threading.Thread(target=release.wait).start()
+    try:
+        code, out, _ = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "300", "--format", "json")
+    finally:
+        release.set()
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GOLDEN_JSON_CYCLOTOMIC_7_300

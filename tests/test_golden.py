@@ -68,3 +68,12 @@ def test_golden_report_json_300(spec, tmp_path, capsys):
 @pytest.mark.parametrize("spec", sorted(GOLDEN_TEXT_300))
 def test_golden_report_text_300(spec, tmp_path, capsys):
     assert _report_sha256(spec, "text", tmp_path, capsys) == GOLDEN_TEXT_300[spec]
+
+
+GOLDEN_PINS = {"csv": GOLDEN_CSV_300, "json": GOLDEN_JSON_300, "text": GOLDEN_TEXT_300}
+
+
+@pytest.mark.parametrize("fmt, spec", [(fmt, spec) for fmt, pins in GOLDEN_PINS.items() for spec in sorted(pins)])
+def test_golden_report_from_workers(fmt, spec, sweep_workers, tmp_path, capsys):
+    """The same bodies when forked workers compute the rows."""
+    assert _report_sha256(spec, fmt, tmp_path, capsys) == GOLDEN_PINS[fmt][spec]
