@@ -32,9 +32,7 @@ import json
 import os
 import stat
 import sys
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
-from operator import itemgetter
 from typing import NamedTuple
 
 from . import arith, cyclotomic, workers
@@ -60,10 +58,11 @@ EXIT_DISAGREEMENTS = 4
 EXIT_INTERNAL = 5
 
 MAX_SWEEP_PRIME = 10_000
-# A verify sweep of fewer pairs (max-prime below about 600) runs in this
-# process: below about 5,000 pairs, forking workers and reading their pipes
-# costs more than they save.
-WORKER_MIN_PAIRS = 10_000
+# A verify sweep of fewer pairs (max-prime below about 1,400) runs in this
+# process. Workers pay off in time from about 5,000 pairs, but below 50,000 a
+# sweep takes under about 0.3 s in one process, so they would save a tenth
+# of a second at most, at the cost of a process and ~14 MB per usable CPU.
+WORKER_MIN_PAIRS = 50_000
 
 
 def parse_field_spec(text: str) -> FieldDescriptor:
@@ -215,55 +214,50 @@ class SweepReport:
         # for the p2 < p1 half of later rows: slot j*(j-1)/2 + i holds the
         # pair of indices i < j, so each row reads its half as one slice.
         triangle = bytearray(n * (n - 1) // 2 if symmetric else 0)
-        make = tuple.__new__
+        unknown_cell = Outcome.UNKNOWN.value
         self.pairs = self.agree = self.disagree = self.unknown = 0
         forked = workers.start(kernel, n) if n * (n - 1) >= WORKER_MIN_PAIRS else []
-        # Verdict codes are per kernel, so per worker: each has its own table
-        # of row tails, indexed by verdict code and then by oracle code.
-        tables: list[list[list[_Tail]]] = [[] for _ in range(len(forked) or 1)]
+        # Verdict codes are per kernel, so per worker: each has its own list
+        # of (classify, certainty, trace) cells, indexed by verdict code.
+        met: list[list[tuple[str, str, str]]] = [[] for _ in range(len(forked) or 1)]
         try:
             for i, p1 in enumerate(primes):
                 if forked:
                     cells, verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)])
                 else:
                     cells, verdict_codes, oracle_codes = kernel(i)
-                table = tables[i % len(tables)]
-                table.extend(_row_tails(*verdict) for verdict in cells)
+                verdicts = met[i % len(met)]
+                verdicts.extend(cells)
                 if symmetric:
                     for j, code in enumerate(oracle_codes, i + 1):
                         triangle[j * (j - 1) // 2 + i] = code
                     start = i * (i - 1) // 2
                     oracle_codes = triangle[start : start + i] + oracle_codes
-                tails = [table[verdict][oracle] for verdict, oracle in zip(verdict_codes, oracle_codes)]
-                # tuple.__new__ is SweepRow(...) without its Python-level __new__
                 others = primes[:i] + primes[i + 1 :]
-                block = [make(SweepRow, (p1, p2) + cells) for p2, (cells, _) in zip(others, tails)]
-                counts = Counter(map(itemgetter(1), tails))
+                block = []
+                agree = disagree = unknown = 0
+                for p2, verdict_code, oracle_code in zip(others, verdict_codes, oracle_codes):
+                    outcome, certainty, trace = verdicts[verdict_code]
+                    oracle = _ORACLE_CELLS[oracle_code]
+                    matches = outcome == oracle
+                    if outcome == unknown_cell:
+                        unknown += 1
+                    elif matches:
+                        agree += 1
+                    else:
+                        disagree += 1
+                    block.append(SweepRow(p1, p2, outcome, certainty, oracle, matches, trace))
                 self.pairs += len(block)
-                self.agree += counts[0]
-                self.disagree += counts[1]
-                self.unknown += counts[2]
+                self.agree += agree
+                self.disagree += disagree
+                self.unknown += unknown
                 yield block
         finally:
             workers.stop(forked)
 
 
-_OUTCOMES = tuple(Outcome)  # an oracle code is the outcome's index here
-
-# The cells of a row after p1 and p2, and its tally: 0 agree, 1 disagree, 2 unknown.
-_Tail = tuple[tuple[str, str, str, bool, str], int]
-
-
-def _row_tails(classify: str, certainty: str, trace: str) -> list[_Tail]:
-    """The tail of a row with this verdict's cells, for each oracle code."""
-    outcome = Outcome(classify)
-    return [
-        (
-            (classify, certainty, oracle.value, outcome is oracle, trace),
-            2 if outcome is Outcome.UNKNOWN else int(outcome is not oracle),
-        )
-        for oracle in _OUTCOMES
-    ]
+# An oracle code is the outcome's index in Outcome; this is its report cell.
+_ORACLE_CELLS = tuple(outcome.value for outcome in Outcome)
 
 
 class _RowKernel:
@@ -274,7 +268,7 @@ class _RowKernel:
     the verdict among those this kernel has met, in the order it met them.
     cells holds (classify, certainty, trace) of each verdict first met in
     this row. The oracle codes are one byte per p2 the oracle is asked
-    about, the index of its outcome in _OUTCOMES: every other p2, or only
+    about, the index of its outcome in Outcome: every other p2, or only
     p2 > p1 when the oracle is symmetric.
     """
 
@@ -291,7 +285,7 @@ class _RowKernel:
         self._symmetric = symmetric
         self._codes: dict[int, int] = {}  # keyed by id: a Verdict hashes in Python code
         self._met: list[Verdict] = []  # keeps each id in _codes its verdict's
-        self._oracle_codes = {id(outcome): code for code, outcome in enumerate(_OUTCOMES)}
+        self._oracle_codes = {id(outcome): code for code, outcome in enumerate(Outcome)}
 
     def __call__(self, i: int) -> tuple[list[tuple[str, str, str]], bytes, bytes]:
         primes, verdict_of, oracle_of, codes = self._primes, self._verdict_of, self._oracle_of, self._codes

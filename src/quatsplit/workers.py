@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import signal
 import struct
@@ -42,11 +43,24 @@ class Worker(NamedTuple):
     pipe: io.BufferedReader
 
 
+# The CPU quota of this process's cgroup, as a container on a cgroup v2 host
+# sees it: "<quota> <period>" in microseconds, or "max <period>" for none.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
 def _usable_cpus() -> int:
+    """The CPUs this process may run on (os.sched_getaffinity, else os.cpu_count()),
+    or fewer if its cgroup's CPU quota is lower."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        with open(_CPU_MAX) as limit:
+            quota, period = limit.read().split()
+        return min(cpus, max(1, math.ceil(int(quota) / int(period))))
+    except (OSError, ValueError):  # no cgroup v2 quota file, or "max": no quota
+        return cpus
 
 
 def start(row: Callable[[int], Row], rows: int) -> list[Worker]:

@@ -5,6 +5,7 @@ import os
 import pytest
 
 import quatsplit.cli as cli_module
+from quatsplit import workers
 
 
 @pytest.fixture
@@ -22,7 +23,7 @@ def sweep_workers(monkeypatch):
         return fork()
 
     monkeypatch.setattr(cli_module, "WORKER_MIN_PAIRS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", counted_fork)
     yield
     assert forks > 0, "no sweep worker was forked"

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import quatsplit
+from quatsplit import workers
 from quatsplit.arith import primes_up_to
 from quatsplit.classify import Biquadratic, Cyclotomic, Kummer, Quadratic, classify, sweep_classifier
 from quatsplit.cli import (
@@ -865,7 +866,7 @@ _KILLED_WORKER_SCRIPT = """
 import os, signal, sys
 import quatsplit.cli as cli
 cli.WORKER_MIN_PAIRS = 0
-os.sched_getaffinity = lambda pid: {0, 1}
+cli.workers._usable_cpus = lambda: 2
 parent, real = os.getpid(), cli.sweep_oracle
 
 def dying_oracle(field, primes):
@@ -984,9 +985,10 @@ def test_worker_path_fork_failure_runs_in_process(capsys, monkeypatch, sweep_wor
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GOLDEN_JSON_CYCLOTOMIC_7_300
 
 
-@pytest.mark.parametrize("why", ["one usable CPU", "another thread alive"])
-def test_verify_stays_in_process(capsys, monkeypatch, why):
-    """A sweep forks no worker with one usable CPU, or with a second thread that a fork would not copy."""
+@pytest.mark.parametrize("why", ["one usable CPU", "a CPU quota of one", "another thread alive"])
+def test_verify_stays_in_process(capsys, monkeypatch, tmp_path, why):
+    """A sweep forks no worker with one usable CPU (by affinity or by CPU quota), or with a second
+    thread that a fork would not copy."""
     import threading
 
     import quatsplit.cli as cli_module
@@ -1000,8 +1002,12 @@ def test_verify_stays_in_process(capsys, monkeypatch, why):
     if why == "one usable CPU":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    else:
+    elif why == "a CPU quota of one":
+        (tmp_path / "cpu.max").write_text("100000 100000\n")
+        monkeypatch.setattr(workers, "_CPU_MAX", str(tmp_path / "cpu.max"))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    else:
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         threading.Thread(target=release.wait).start()
     try:
         code, out, _ = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "300", "--format", "json")
@@ -1009,3 +1015,25 @@ def test_verify_stays_in_process(capsys, monkeypatch, why):
         release.set()
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _GOLDEN_JSON_CYCLOTOMIC_7_300
+
+
+@pytest.mark.parametrize(
+    "cpu_max, usable",
+    [
+        (None, 4),  # no cgroup v2 quota file
+        ("max 100000\n", 4),
+        ("100000 100000\n", 1),
+        ("150000 100000\n", 2),  # part of a CPU still counts
+        ("50000 100000\n", 1),
+        ("800000 100000\n", 4),  # the quota never adds CPUs to the affinity set
+        ("garbage\n", 4),
+    ],
+)
+def test_usable_cpus_follow_the_cpu_quota(monkeypatch, tmp_path, cpu_max, usable):
+    limit = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        limit.write_text(cpu_max)
+    monkeypatch.setattr(workers, "_CPU_MAX", str(limit))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    assert workers._usable_cpus() == usable
+
