@@ -124,6 +124,23 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return factors
 
 
+def prime_power(n: int) -> tuple[int, int] | None:
+    """(l, k) with n = l**k, l prime and k >= 1, or None; for 0 <= n < 2**64.
+
+    No trial division: n is tried as a k-th power for each k below its bit
+    length.  A float k-th root of n < 2**64 with k >= 2 is below 2**32 and
+    off by less than 10**-4, so rounding it finds the integer root whenever
+    there is one, and the check root**k == n is exact.
+    """
+    if is_prime(n):
+        return n, 1
+    for k in range(2, n.bit_length()):
+        root = round(n ** (1 / k))
+        if root**k == n and is_prime(root):
+            return root, k
+    return None
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient: count of 1 <= k <= n coprime to n."""
     if n < 1:

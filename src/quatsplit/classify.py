@@ -250,12 +250,12 @@ def _cyclotomic_row(m: int) -> _Row:
     row = _CYCLOTOMIC.get(m)
     if row is not None:
         return row
-    factors = arith.factorize(m)
-    ell = factors[0][0]
-    if len(factors) != 1 or ell % 4 != 3:
+    power = arith.prime_power(m)
+    if power is None or power[0] % 4 != 3:
         raise UnsupportedFieldError(
             f"no criterion for cyclotomic n = {m}; supported: 3-12 and prime powers l**k with l ≡ 3 (mod 4)"
         )
+    ell = power[0]
     return _Row(_criterion, (-ell,), ell % 8 == 7, _PROP41)
 
 
@@ -321,6 +321,8 @@ def _resolve(field: FieldDescriptor) -> _Row:
                 raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
             return _Row(_criterion, discs, d1 % 8 == 1 and d2 % 8 == 1, _THM34)
         case Cyclotomic(n):
+            if n > arith.UINT64_MAX:
+                raise InvalidInputError(f"cyclotomic index must be below 2**64, got {n}")
             m = cyclotomic.canonical_n(n)
             row = _cyclotomic_row(m)
             return row if m == n else _reduced(f"reduction/n{n}→n{m}", row)

@@ -79,6 +79,37 @@ def hilbert_symbol(a: int, b: int, place: Place) -> int:
     return sign
 
 
+def prime_pair_symbols(p: int, q: int) -> tuple[int, int, int, int]:
+    """The local symbols (p, q)_v of H_Q(p, q) at v = 2, p, q and infinity, in that order.
+
+    hilbert_symbol's formulas with the valuations known (Serre, A Course in
+    Arithmetic, III.1.2, Thm. 1): (q|p) at p and (p|q) at q, both by Euler's
+    criterion; at 2, (-1)**(eps(p)*eps(q)) for odd p, q, and (-1)**omega(q)
+    when p = 2 (then the symbol at p is the one at 2).  No other place can
+    ramify.  Raises InternalInvariantError when the ramified places are odd
+    in number, which Hilbert reciprocity forbids.  The caller has proved p, q
+    distinct primes.
+    """
+    if p == 2:
+        at_2 = at_p = -1 if _omega(q) else 1
+        at_q = arith.legendre_unchecked(2, q)
+        product = at_2 * at_q
+    elif q == 2:
+        at_2 = at_q = -1 if _omega(p) else 1
+        at_p = arith.legendre_unchecked(2, p)
+        product = at_2 * at_p
+    else:
+        # eps(u) = 1 exactly when u ≡ 3 (mod 4)
+        at_2 = -1 if p % 4 == 3 and q % 4 == 3 else 1
+        at_p = arith.legendre_unchecked(q, p)
+        at_q = arith.legendre_unchecked(p, q)
+        product = at_2 * at_p * at_q
+    at_inf = -1 if (p < 0 and q < 0) else 1
+    if product * at_inf == -1:
+        raise InternalInvariantError(f"Hilbert product formula violated for ({p}, {q})")
+    return at_2, at_p, at_q, at_inf
+
+
 @dataclass(frozen=True)
 class RamificationData:
     """Ramified places of H_Q(a, b); the reduced discriminant is the product

@@ -23,7 +23,7 @@ from .classify import (
     Quadratic,
 )
 from .errors import InternalInvariantError, UnsupportedFieldError
-from .hilbert import Place, ramified_among, ramified_places
+from .hilbert import Place, prime_pair_symbols, ramified_places
 
 
 @lru_cache(maxsize=None)
@@ -96,26 +96,26 @@ def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int
     """division_oracle(field, p1, p2) for every pair of distinct p1, p2 taken from primes.
 
     For a verify sweep: each prime becomes a Place once, which proves it
-    prime, and its local degree in K is read once.  A pair then costs the
-    Hilbert symbols at 2, p1, p2 and infinity, the only candidates for
-    H_Q(p1, p2), with the same product-formula and infinite-place checks as
-    division_oracle.  The local symbols are symmetric, (a, b)_v = (b, a)_v at
-    every place (Serre, A Course in Arithmetic, III.1.1), so H(p1, p2) and
-    H(p2, p1) have the same answer: the returned function says so with its
-    `symmetric` attribute, and a sweep asks it about each unordered pair once.
-    It trusts its arguments.
+    prime, and its local degree in K is read once, as is the degree at 2.
+    Only 2, p1, p2 and infinity can ramify in H_Q(p1, p2), so a pair costs
+    hilbert.prime_pair_symbols, the local symbols there in closed form with
+    the product-formula check, then the infinite-place check of
+    division_oracle and set lookups of the odd-degree primes.  The local
+    symbols are symmetric, (a, b)_v = (b, a)_v at every place (Serre, A Course
+    in Arithmetic, III.1.1), so H(p1, p2) and H(p2, p1) have the same answer:
+    the returned function says so with its `symmetric` attribute, and a sweep
+    asks it about each unordered pair once.  It trusts its arguments.
     """
-    places = {p: Place(p) for p in primes}
-    two = Place(2)
-    odd = frozenset(p for p, v in places.items() if local_degree(field, v) % 2 == 1)
-
-    def odd_degree(v: Place) -> bool:
-        return v.prime in odd
+    odd = frozenset(p for p in primes if local_degree(field, Place(p)) % 2 == 1)
+    two_odd = local_degree(field, Place(2)) % 2 == 1
 
     def outcome(p1: int, p2: int) -> Outcome:
-        lo, hi = (p1, p2) if p1 < p2 else (p2, p1)
-        candidates = (places[lo], places[hi]) if lo == 2 else (two, places[lo], places[hi])
-        return _decide(ramified_among(p1, p2, candidates), odd_degree, p1, p2)
+        at_2, at_p1, at_p2, at_inf = prime_pair_symbols(p1, p2)
+        if at_inf == -1:
+            raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
+        if (at_p1 == -1 and p1 in odd) or (at_p2 == -1 and p2 in odd) or (at_2 == -1 and two_odd):
+            return Outcome.DIVISION
+        return Outcome.SPLIT
 
     outcome.symmetric = True
     return outcome

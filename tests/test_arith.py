@@ -12,6 +12,7 @@ from quatsplit.arith import (
     is_squarefree,
     legendre,
     multiplicative_order,
+    prime_power,
     primes_up_to,
     squarefree_part,
 )
@@ -176,6 +177,26 @@ def test_multiplicative_order_matches_stepping():
                 x = x * a % n
                 f += 1
             assert multiplicative_order(a, n) == f, (a, n)
+
+
+def test_prime_power_matches_factorize():
+    for n in range(20_000):
+        factors = factorize(n) if n else []
+        assert prime_power(n) == (factors[0] if len(factors) == 1 else None), n
+
+
+def test_prime_power_64_bit():
+    """Up to 2**64 without trial division: the float root must round to the exact one."""
+    largest = 2**64 - 59  # the largest prime below 2**64
+    assert prime_power(largest) == (largest, 1)
+    assert prime_power(1000000000000000003) == (1000000000000000003, 1)
+    for ell, k in ((2, 63), (3, 40), (7, 22), (65521, 4), (2642239, 3), (2**31 - 1, 2), (2**32 - 5, 2)):
+        assert prime_power(ell**k) == (ell, k)
+        assert prime_power(ell**k - 1) is None  # each has two distinct prime factors
+    assert prime_power((2**32 - 5) * (2**32 - 17)) is None  # two 32-bit primes
+    assert prime_power(2**64 - 1) is None
+    with pytest.raises(InvalidInputError):
+        prime_power(2**64)
 
 
 def test_factorize_and_squarefree():

@@ -680,13 +680,13 @@ def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
     import quatsplit.oracle as oracle_module
 
     oracle_calls = classifier_calls = 0
-    ramified_among = oracle_module.ramified_among
+    prime_pair_symbols = oracle_module.prime_pair_symbols
     sweep_classifier_of = cli_module.sweep_classifier
 
-    def counted_ramified_among(a, b, places):
+    def counted_prime_pair_symbols(p, q):
         nonlocal oracle_calls
         oracle_calls += 1
-        return ramified_among(a, b, places)
+        return prime_pair_symbols(p, q)
 
     def counted_sweep_classifier(field, primes):
         verdict_of = sweep_classifier_of(field, primes)
@@ -698,7 +698,7 @@ def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(oracle_module, "ramified_among", counted_ramified_among)
+    monkeypatch.setattr(oracle_module, "prime_pair_symbols", counted_prime_pair_symbols)
     monkeypatch.setattr(cli_module, "sweep_classifier", counted_sweep_classifier)
     report = build_sweep_report(Cyclotomic(7), 200)
     n = len(primes_up_to(200))
@@ -758,6 +758,35 @@ def test_verify_kummer_huge_exponent_exits_promptly():
     assert result.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("spec", ["cyclotomic:1000000000000000003", "kummer:1000000000000000003^1"])
+def test_classify_19_digit_prime_index_exits_promptly(spec):
+    """Prop 4.1 recognises n = l**k by k-th roots and a primality test, not by trial division."""
+    result = subprocess.run(
+        [sys.executable, "-m", "quatsplit", "classify", "--field", spec, "--p", "3", "--q", "31"],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    assert "outcome: Division\n" in result.stdout and "prop4.1/case3b:hit" in result.stdout
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_cyclotomic_index_of_2_64_or_more_exits_promptly(command):
+    """A cyclotomic index n >= 2**64 is bad input, rejected before anything factors it."""
+    argv = ["--p", "3", "--q", "7"] if command == "classify" else ["--max-prime", "20"]
+    result = subprocess.run(
+        [sys.executable, "-m", "quatsplit", command, "--field", f"cyclotomic:{10**68 + 1}", *argv],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == EXIT_BAD_ARGS
+    assert result.stderr.startswith("error: cyclotomic index must be below 2**64")
+
+
 @pytest.mark.parametrize("spec", ["cyclotomic:999999999959", "kummer:999999999959^1"])
 def test_verify_large_cyclotomic_index_exits_promptly(spec):
     """Local degrees need the order of p mod n, which must not step through ~n powers of p."""
@@ -791,9 +820,14 @@ def test_internal_invariant_exit_code(capsys, monkeypatch):
     """A failed invariant (here the Hilbert product formula) exits 5."""
     import quatsplit.hilbert as hilbert_module
 
-    monkeypatch.setattr(hilbert_module, "hilbert_symbol", _odd_ramification)
-    code, out, err = run_cli(capsys, "ramification", "--a", "3", "--b", "5")
+    with monkeypatch.context() as patch:
+        patch.setattr(hilbert_module, "hilbert_symbol", _odd_ramification)
+        code, out, err = run_cli(capsys, "ramification", "--a", "3", "--b", "5")
     assert code == EXIT_INTERNAL and out == "" and "internal error:" in err
+    # A sweep's symbols come from prime_pair_symbols: a wrong omega flips the
+    # dyadic symbol of every H(2, q) and no other symbol.
+    omega = hilbert_module._omega
+    monkeypatch.setattr(hilbert_module, "_omega", lambda u: 1 - omega(u))
     code, _, err = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "20")
     assert code == EXIT_INTERNAL and "internal error:" in err
 

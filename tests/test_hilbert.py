@@ -1,16 +1,20 @@
 """Local Hilbert symbols, ramified places, and the discriminant fast path."""
 
 import random
+from itertools import count
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatsplit.arith import primes_up_to
+from quatsplit.arith import is_prime, primes_up_to
 from quatsplit.errors import EqualPrimesError, InvalidInputError
 from quatsplit.hilbert import (
     INFINITE_PLACE,
     Place,
     discriminant_fast_path,
     hilbert_symbol,
+    prime_pair_symbols,
     ramified_places,
 )
 
@@ -187,3 +191,29 @@ def test_fast_path_agrees_with_ramified_places():
                 covered += 1
                 assert fast == ramified_places(p, q).reduced_discriminant, (p, q)
     assert covered > 0
+
+
+def _symbols_by_hilbert_symbol(p, q):
+    """prime_pair_symbols(p, q) as hilbert_symbol computes the four symbols."""
+    return tuple(hilbert_symbol(p, q, place) for place in (DYADIC, Place(p), Place(q), INFINITE_PLACE))
+
+
+def test_prime_pair_symbols_match_hilbert_symbol():
+    primes = primes_up_to(600)
+    for p in primes:
+        for q in primes:
+            if p != q:
+                assert prime_pair_symbols(p, q) == _symbols_by_hilbert_symbol(p, q), (p, q)
+
+
+# The largest prime below 2**64 is 2**64 - 59, so the next prime from here stays in range.
+_PRIMES_64 = st.one_of(
+    st.sampled_from(primes_up_to(50)),
+    st.integers(2, 2**64 - 59).map(lambda n: next(p for p in count(n) if is_prime(p))),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.tuples(_PRIMES_64, _PRIMES_64).filter(lambda pair: pair[0] != pair[1]))
+def test_prime_pair_symbols_match_hilbert_symbol_64_bit(pair):
+    assert prime_pair_symbols(*pair) == _symbols_by_hilbert_symbol(*pair)

@@ -13,7 +13,7 @@ from quatsplit.classify import (
 )
 from quatsplit.errors import EqualPrimesError, InternalInvariantError, UnsupportedFieldError
 from quatsplit.hilbert import INFINITE_PLACE, Place, ramified_places
-from quatsplit.oracle import division_oracle, local_degree
+from quatsplit.oracle import division_oracle, local_degree, sweep_oracle
 
 PRIMES_200 = primes_up_to(200)
 PAIRS_200 = [(p1, p2) for p1 in PRIMES_200 for p2 in PRIMES_200 if p1 != p2]
@@ -114,6 +114,24 @@ def test_oracle_agrees_with_quadratic_criterion():
         for p1, p2 in PAIRS_200:
             expected = classify_quadratic(d, p1, p2).outcome
             assert division_oracle(field, p1, p2) is expected, (d, p1, p2)
+
+
+# The fields of the golden reports; kummer:7^2 runs its oracle over cyclotomic:49, one of them.
+GOLDEN_FIELDS = [Quadratic(-5), Quadratic(17), Biquadratic(-1, 2), Biquadratic(-1, -3)] + [
+    Cyclotomic(n) for n in (3, 4, 5, 7, 8, 9, 11, 12, 19, 27, 49)
+]
+
+
+@pytest.mark.parametrize("field", GOLDEN_FIELDS, ids=str)
+def test_sweep_oracle_matches_division_oracle(field):
+    primes = primes_up_to(300)
+    # Built from the odd primes too: the degree at 2 must count without 2 among the primes.
+    for sweep_primes in (primes, primes[1:]):
+        outcome_of = sweep_oracle(field, sweep_primes)
+        for p1 in sweep_primes:
+            for p2 in sweep_primes:
+                if p1 != p2:
+                    assert outcome_of(p1, p2) is division_oracle(field, p1, p2), (field, p1, p2)
 
 
 def test_invariant_failures_raise(monkeypatch):
