@@ -14,10 +14,6 @@ from .classify import (
     TraceStep,
     Verdict,
     classify,
-    classify_biquadratic,
-    classify_cyclotomic,
-    classify_kummer,
-    classify_quadratic,
 )
 from .cyclotomic import FactorizationShape, canonical_n, factorization_shape
 from .errors import (
@@ -67,10 +63,6 @@ __all__ = [
     "Verdict",
     "canonical_n",
     "classify",
-    "classify_biquadratic",
-    "classify_cyclotomic",
-    "classify_kummer",
-    "classify_quadratic",
     "discriminant_fast_path",
     "division_oracle",
     "euler_phi",

@@ -25,10 +25,13 @@ of quadratic subfield discriminants plus an "every d ≡ 1 (mod 8)" escape
 flag.  The cyclotomic ids above come from one reduction table, which maps
 each canonical n (and l**k) to its subfield and to the ids the paper
 publishes; where a proposition publishes one id for two raw cases of the
-theorem, the two are OR-merged into that one step.  There is one decision
-path: sweep_classifier checks the field and the primes once and binds the
-evaluator to a table of which primes split in the subfield; a verify sweep
-runs it over all its primes, and classify runs it on its own pair.
+theorem, the two are OR-merged into that one step.  So every field has a
+fixed table of at most seven verdicts (four for n = 5), and the evaluator
+returns an index into it.  There is one decision path: sweep_classifier
+checks the field and the primes once, binds the evaluator to a table of
+which primes split in the subfield and returns it with the verdict table; a
+verify sweep runs it over all its primes, and classify runs it on its own
+pair.
 """
 
 from __future__ import annotations
@@ -119,13 +122,13 @@ FieldDescriptor = Union[Quadratic, Biquadratic, Cyclotomic, Kummer]
 
 # The criterion has five raw cases, in this order: with both primes odd,
 # case1, case3a and case3b; with one prime 2, case2 for the odd prime p ≡ 3
-# and p ≡ 5 (mod 8).  At most one fires.  _criterion picks the verdict for
-# the case that fired, or for _NONE_ODD / _NONE_TWO when none did.
+# and p ≡ 5 (mod 8).  At most one fires.  _criterion returns the index of
+# the case that fired, or _NONE_ODD / _NONE_TWO when none did.
 _NONE_ODD, _NONE_TWO = 5, 6
 
 
 def _verdicts(ids: tuple[str, ...], reduction: str | None = None) -> tuple[Verdict, ...]:
-    """The verdict for each result of the criterion, the five raw cases named by ids.
+    """The verdict for each index the criterion returns, the five raw cases named by ids.
 
     Raw cases that share an id are OR-merged into one trace step: that is how
     a proposition that publishes one id for two raw cases keeps its id.  A
@@ -151,9 +154,7 @@ def _splits(discs: tuple[int, ...], p: int) -> bool:
     return True
 
 
-def _criterion(
-    split: Callable[[int], bool], escape: bool, verdicts: tuple[Verdict, ...], p1: int, p2: int
-) -> Verdict:
+def _criterion(split: Callable[[int], bool], escape: bool, p1: int, p2: int) -> int:
     """Theorem 3.1 over Q(sqrt d) (one discriminant), 3.4 over Q(sqrt d1, sqrt d2) (two).
 
     H(p1, p2) is a division algebra exactly when one raw case holds:
@@ -162,7 +163,8 @@ def _criterion(
       case3b  the same with p1 and p2 exchanged;
       case2   one prime is 2, the other p ≡ 3 or 5 (mod 8), and p splits or escape;
     where "splits" means in every subfield, as split(p) answers for odd p, and
-    escape says that every d ≡ 1 (mod 8), so that 2 splits.  The caller has
+    escape says that every d ≡ 1 (mod 8), so that 2 splits.  Returns the
+    index of the verdict in the table _verdicts builds.  The caller has
     proved p1, p2 distinct primes.
     """
     if p1 != 2 and p2 != 2:
@@ -170,29 +172,28 @@ def _criterion(
         if p1 % 4 == 3 and p2 % 4 == 3:
             # Reciprocity: (p2|p1) = -(p1|p2), so case3a needs (p1|p2) = 1.
             if symbol == 1:
-                return verdicts[1 if escape or split(p1) else _NONE_ODD]
-            return verdicts[2 if escape or split(p2) else _NONE_ODD]
+                return 1 if escape or split(p1) else _NONE_ODD
+            return 2 if escape or split(p2) else _NONE_ODD
         if symbol == -1 and (split(p1) or split(p2)):
-            return verdicts[0]
-        return verdicts[_NONE_ODD]
+            return 0
+        return _NONE_ODD
     p = p1 if p2 == 2 else p2
     residue = p % 8
     if (residue == 3 or residue == 5) and (escape or split(p)):
-        return verdicts[3 if residue == 3 else 4]
-    return verdicts[_NONE_TWO]
+        return 3 if residue == 3 else 4
+    return _NONE_TWO
 
 
-def _n5_criterion(
-    split: Callable[[int], bool], escape: bool, verdicts: tuple[Verdict, ...], p1: int, p2: int
-) -> Verdict:
+def _n5_criterion(split: Callable[[int], bool], escape: bool, p1: int, p2: int) -> int:
     """Prop 3.9 over Q(zeta_5), a sufficient condition only; split and escape are unused.
 
     Tried in both argument orders since H(p1, p2) and H(p2, p1) are
-    isomorphic; verdicts[2 * hit1 + hit2] is the verdict for the two results.
+    isomorphic; returns 2 * hit1 + hit2, the index of the verdict for the
+    two results in the table _n5_verdicts builds.
     """
     hit1 = p1 % 5 == 1 and arith.legendre_unchecked(p2, p1) == -1
     hit2 = p2 % 5 == 1 and arith.legendre_unchecked(p1, p2) == -1
-    return verdicts[2 * hit1 + hit2]
+    return 2 * hit1 + hit2
 
 
 def _n5_verdicts() -> tuple[Verdict, ...]:
@@ -207,9 +208,9 @@ def _n5_verdicts() -> tuple[Verdict, ...]:
 
 
 class _Row(NamedTuple):
-    """How one field decides: rule(split, escape, verdicts, p1, p2) over the subfield discs."""
+    """How one field decides: verdicts[rule(split, escape, p1, p2)] over the subfield discs."""
 
-    rule: Callable[..., Verdict]
+    rule: Callable[..., int]
     discs: tuple[int, ...]
     escape: bool
     verdicts: tuple[Verdict, ...]
@@ -271,41 +272,6 @@ def _reduced(label: str, row: _Row) -> _Row:
 # --- public entry points ------------------------------------------------------
 
 
-def classify_quadratic(d: int, p1: int, p2: int) -> Verdict:
-    """Exact division/split decision for H(p1, p2) over Q(sqrt(d))."""
-    return classify(Quadratic(d), p1, p2)
-
-
-def classify_biquadratic(d1: int, d2: int, p1: int, p2: int) -> Verdict:
-    """Exact decision for H(p1, p2) over Q(sqrt(d1), sqrt(d2)).
-
-    The quadratic criterion with every splitting condition required in both
-    subfields at once, and d ≡ 1 (mod 8) required of both d1 and d2.
-    """
-    return classify(Biquadratic(d1, d2), p1, p2)
-
-
-def classify_cyclotomic(n: int, p1: int, p2: int) -> Verdict:
-    """Decision for H(p1, p2) over Q(zeta_n).
-
-    Exact for canonical n in {3, 4, 7, 8, 9, 11, 12} and n = l**k with prime
-    l ≡ 3 (mod 4); sufficient-only for n in {5, 10} (outcome Unknown when the
-    sufficient condition fails).  Other n are unsupported here (the oracle
-    module still covers them).
-    """
-    return classify(Cyclotomic(n), p1, p2)
-
-
-def classify_kummer(ell: int, k: int, p1: int, p2: int) -> Verdict:
-    """Decision for H(p1, p2) over the Kummer field Q(zeta_{ell**k}, a**(1/ell**k)).
-
-    The radical layer has odd degree over Q(zeta_{ell**k}), so the verdict is
-    the cyclotomic one whatever the radicand is; it is therefore not a
-    parameter.  ell**k must be below 2**64.
-    """
-    return classify(Kummer(ell, k), p1, p2)
-
-
 @lru_cache(maxsize=64)
 def _resolve(field: FieldDescriptor) -> _Row:
     """Check field; its row, with the reduction steps of Kummer and non-canonical n on the verdicts.
@@ -338,20 +304,23 @@ def _resolve(field: FieldDescriptor) -> _Row:
     raise UnsupportedFieldError(f"unrecognized field descriptor: {field!r}")
 
 
-def sweep_classifier(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int, int], Verdict]:
-    """The decision for H(p1, p2) over field, for distinct p1, p2 taken from primes.
+def sweep_classifier(
+    field: FieldDescriptor, primes: Sequence[int]
+) -> tuple[tuple[Verdict, ...], Callable[[int, int], int]]:
+    """(verdicts, code_of): verdicts[code_of(p1, p2)] decides H(p1, p2) over field,
+    for distinct p1, p2 taken from primes.
 
-    The field is checked and resolved, and every prime is proved prime, once
-    here instead of per pair.  Whether each prime splits in the field's
-    subfield is tabulated, and the reduction steps are on the verdicts up
-    front, so a pair costs one symbol (p1|p2) and lookups.  The returned
-    function trusts its arguments.
+    verdicts is the field's fixed table of at most seven verdicts.  The field
+    is checked and resolved, and every prime is proved prime, once here
+    instead of per pair.  Whether each prime splits in the field's subfield
+    is tabulated, and the reduction steps are on the verdicts up front, so a
+    pair costs one symbol (p1|p2) and lookups.  code_of trusts its arguments.
     """
     row = _resolve(field)
     for p in primes:
         arith.require_prime(p)
     split = frozenset(p for p in primes if p != 2 and _splits(row.discs, p))
-    return partial(row.rule, split.__contains__, row.escape, row.verdicts)
+    return row.verdicts, partial(row.rule, split.__contains__, row.escape)
 
 
 def classify(field: FieldDescriptor, p1: int, p2: int) -> Verdict:
@@ -360,7 +329,7 @@ def classify(field: FieldDescriptor, p1: int, p2: int) -> Verdict:
     The field is checked before the primes, then p1 and p2 are proved
     distinct primes.
     """
-    verdict_of = sweep_classifier(field, (p1, p2))
+    verdicts, code_of = sweep_classifier(field, (p1, p2))
     if p1 == p2:
         raise EqualPrimesError(f"the two primes must be distinct, got {p1} twice")
-    return verdict_of(p1, p2)
+    return verdicts[code_of(p1, p2)]

@@ -184,10 +184,12 @@ class SweepReport:
     they are final once the iteration is done, and each new iteration starts
     them again from zero.
 
-    The rows' verdicts and oracle outcomes come from _RowKernel as codes. A
-    sweep of WORKER_MIN_PAIRS pairs or more runs the kernel in forked workers
-    (see the workers module), a smaller one in this process. Either way the
-    blocks are built here, from the same codes.
+    The rows come from _RowKernel as codes: verdict codes index the field's
+    verdict table, whose (classify, certainty, trace) cells are built once
+    per iteration, and oracle codes index Outcome. A sweep of
+    WORKER_MIN_PAIRS pairs or more runs the kernel in forked workers (see the
+    workers module), a smaller one in this process. Either way the blocks are
+    built here, from the same codes.
     """
 
     def __init__(
@@ -195,49 +197,45 @@ class SweepReport:
         field: FieldDescriptor,
         max_prime: int,
         primes: list[int],
-        verdict_of: Callable[[int, int], Verdict],
+        verdicts: tuple[Verdict, ...],
+        code_of: Callable[[int, int], int],
         oracle_of: Callable[[int, int], Outcome],
     ):
         self.field = field
         self.max_prime = max_prime
         self.pairs = self.agree = self.disagree = self.unknown = 0
         self._primes = primes
-        self._verdict_of = verdict_of
+        self._verdicts = verdicts
+        self._code_of = code_of
         self._oracle_of = oracle_of
 
     def __iter__(self) -> Iterator[list[SweepRow]]:
         primes = self._primes
         n = len(primes)
-        symmetric = getattr(self._oracle_of, "symmetric", False)
-        kernel = _RowKernel(primes, self._verdict_of, self._oracle_of, symmetric)
-        # A symmetric oracle is asked only about p2 > p1. Its codes are kept
-        # for the p2 < p1 half of later rows: slot j*(j-1)/2 + i holds the
-        # pair of indices i < j, so each row reads its half as one slice.
-        triangle = bytearray(n * (n - 1) // 2 if symmetric else 0)
+        kernel = _RowKernel(primes, self._code_of, self._oracle_of)
+        cells = [(v.outcome.value, v.certainty.value, format_trace(v)) for v in self._verdicts]
+        # The oracle is asked only about p2 > p1. Its codes are kept for the
+        # p2 < p1 half of later rows: slot j*(j-1)/2 + i holds the pair of
+        # indices i < j, so each row reads its half as one slice.
+        triangle = bytearray(n * (n - 1) // 2)
         unknown_cell = Outcome.UNKNOWN.value
         self.pairs = self.agree = self.disagree = self.unknown = 0
         forked = workers.start(kernel, n) if n * (n - 1) >= WORKER_MIN_PAIRS else []
-        # Verdict codes are per kernel, so per worker: each has its own list
-        # of (classify, certainty, trace) cells, indexed by verdict code.
-        met: list[list[tuple[str, str, str]]] = [[] for _ in range(len(forked) or 1)]
         try:
             for i, p1 in enumerate(primes):
                 if forked:
-                    cells, verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)])
+                    verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)])
                 else:
-                    cells, verdict_codes, oracle_codes = kernel(i)
-                verdicts = met[i % len(met)]
-                verdicts.extend(cells)
-                if symmetric:
-                    for j, code in enumerate(oracle_codes, i + 1):
-                        triangle[j * (j - 1) // 2 + i] = code
-                    start = i * (i - 1) // 2
-                    oracle_codes = triangle[start : start + i] + oracle_codes
+                    verdict_codes, oracle_codes = kernel(i)
+                for j, code in enumerate(oracle_codes, i + 1):
+                    triangle[j * (j - 1) // 2 + i] = code
+                start = i * (i - 1) // 2
+                oracle_codes = triangle[start : start + i] + oracle_codes
                 others = primes[:i] + primes[i + 1 :]
                 block = []
                 agree = disagree = unknown = 0
                 for p2, verdict_code, oracle_code in zip(others, verdict_codes, oracle_codes):
-                    outcome, certainty, trace = verdicts[verdict_code]
+                    outcome, certainty, trace = cells[verdict_code]
                     oracle = _ORACLE_CELLS[oracle_code]
                     matches = outcome == oracle
                     if outcome == unknown_cell:
@@ -261,50 +259,30 @@ _ORACLE_CELLS = tuple(outcome.value for outcome in Outcome)
 
 
 class _RowKernel:
-    """The pair work of sweep row i, for p1 = primes[i], as compact codes.
+    """The pair work of sweep row i, for p1 = primes[i], as two byte strings of codes.
 
-    Calling it with i returns (cells, verdict codes, oracle codes). The
-    verdict codes are one byte per other p2, in ascending order: the index of
-    the verdict among those this kernel has met, in the order it met them.
-    cells holds (classify, certainty, trace) of each verdict first met in
-    this row. The oracle codes are one byte per p2 the oracle is asked
-    about, the index of its outcome in Outcome: every other p2, or only
-    p2 > p1 when the oracle is symmetric.
+    Calling it with i returns (verdict codes, oracle codes). The verdict
+    codes are code_of(p1, p2), the index in the field's verdict table, one
+    byte per other p2 in ascending order. The oracle codes are the index in
+    Outcome of oracle_of(p1, p2), one byte per p2 > p1: the local symbols are
+    symmetric, so the sweep takes the p2 < p1 half from earlier rows.
     """
 
     def __init__(
-        self,
-        primes: list[int],
-        verdict_of: Callable[[int, int], Verdict],
-        oracle_of: Callable[[int, int], Outcome],
-        symmetric: bool,
+        self, primes: list[int], code_of: Callable[[int, int], int], oracle_of: Callable[[int, int], Outcome]
     ):
         self._primes = primes
-        self._verdict_of = verdict_of
+        self._code_of = code_of
         self._oracle_of = oracle_of
-        self._symmetric = symmetric
-        self._codes: dict[int, int] = {}  # keyed by id: a Verdict hashes in Python code
-        self._met: list[Verdict] = []  # keeps each id in _codes its verdict's
+        # keyed by id: an Outcome hashes in Python code
         self._oracle_codes = {id(outcome): code for code, outcome in enumerate(Outcome)}
 
-    def __call__(self, i: int) -> tuple[list[tuple[str, str, str]], bytes, bytes]:
-        primes, verdict_of, oracle_of, codes = self._primes, self._verdict_of, self._oracle_of, self._codes
+    def __call__(self, i: int) -> tuple[bytes, bytes]:
+        primes, code_of, oracle_of, oracle_codes = self._primes, self._code_of, self._oracle_of, self._oracle_codes
         p1 = primes[i]
-        verdicts = [verdict_of(p1, p2) for p2 in primes[:i] + primes[i + 1 :]]
-        cells = []
-        for verdict in verdicts:
-            if id(verdict) not in codes:
-                if len(self._met) == 256:
-                    raise InternalInvariantError("a sweep met more than 256 distinct verdicts")
-                codes[id(verdict)] = len(self._met)
-                self._met.append(verdict)
-                cells.append((verdict.outcome.value, verdict.certainty.value, format_trace(verdict)))
-        asked = primes[i + 1 :] if self._symmetric else primes[:i] + primes[i + 1 :]
-        oracle_codes = self._oracle_codes
         return (
-            cells,
-            bytes([codes[id(verdict)] for verdict in verdicts]),
-            bytes([oracle_codes[id(oracle_of(p1, p2))] for p2 in asked]),
+            bytes([code_of(p1, p2) for p2 in primes[:i] + primes[i + 1 :]]),
+            bytes([oracle_codes[id(oracle_of(p1, p2))] for p2 in primes[i + 1 :]]),
         )
 
 
@@ -320,10 +298,10 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     """
     primes = arith.primes_up_to(max_prime)
     # The classifier checks the field first, Kummer's l**k < 2**64 bound included.
-    verdict_of = sweep_classifier(field, primes)
+    verdicts, code_of = sweep_classifier(field, primes)
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     oracle_of = sweep_oracle(oracle_field, primes)
-    return SweepReport(field, max_prime, primes, verdict_of, oracle_of)
+    return SweepReport(field, max_prime, primes, verdicts, code_of, oracle_of)
 
 
 # Each renderer yields the report body in chunks as the report's blocks pass,

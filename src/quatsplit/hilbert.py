@@ -12,7 +12,6 @@ where eps(u) = (u - 1)/2 mod 2 and omega(u) = (u**2 - 1)/8 mod 2.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import arith
@@ -120,37 +119,28 @@ class RamificationData:
 
 
 def ramified_places(a: int, b: int) -> RamificationData:
-    """Evaluate the local symbol at infinity and at every prime dividing 2ab.
+    """Evaluate the local symbol at every prime dividing 2ab and at infinity.
 
     Any ramified prime divides 2ab, so the candidate set is complete; the
-    number of -1 places is even by Hilbert reciprocity.
+    ramified places are the finite ones ascending, then infinity.  Raises
+    InternalInvariantError when their number is odd, which Hilbert
+    reciprocity forbids.
     """
     if a == 0 or b == 0:
         raise InvalidInputError("H(a, b) needs nonzero a, b")
     candidates = {2}
     for n in (a, b):
         candidates.update(p for p, _ in arith.factorize(abs(n)))
-    ramified = ramified_among(a, b, [Place(p) for p in sorted(candidates)])
-    disc = 1
-    for v in ramified:
-        if v.prime is not None:
-            disc *= v.prime
-    return RamificationData(ramified=ramified, reduced_discriminant=disc)
-
-
-def ramified_among(a: int, b: int, places: Sequence[Place]) -> tuple[Place, ...]:
-    """The ramified places of H_Q(a, b) for nonzero a, b: finite ones ascending, then infinity.
-
-    places must hold every prime dividing 2ab, ascending; the infinite place
-    is always tried, last.  Raises InternalInvariantError when the number of
-    ramified places is odd, which Hilbert reciprocity forbids.
-    """
-    ramified = [v for v in places if hilbert_symbol(a, b, v) == -1]
+    ramified = [v for v in map(Place, sorted(candidates)) if hilbert_symbol(a, b, v) == -1]
     if hilbert_symbol(a, b, INFINITE_PLACE) == -1:
         ramified.append(INFINITE_PLACE)
     if len(ramified) % 2:
         raise InternalInvariantError(f"Hilbert product formula violated for ({a}, {b})")
-    return tuple(ramified)
+    disc = 1
+    for v in ramified:
+        if v.prime is not None:
+            disc *= v.prime
+    return RamificationData(ramified=tuple(ramified), reduced_discriminant=disc)
 
 
 def discriminant_fast_path(p: int, q: int) -> int | None:

@@ -102,9 +102,9 @@ def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int
     the product-formula check, then the infinite-place check of
     division_oracle and set lookups of the odd-degree primes.  The local
     symbols are symmetric, (a, b)_v = (b, a)_v at every place (Serre, A Course
-    in Arithmetic, III.1.1), so H(p1, p2) and H(p2, p1) have the same answer:
-    the returned function says so with its `symmetric` attribute, and a sweep
-    asks it about each unordered pair once.  It trusts its arguments.
+    in Arithmetic, III.1.1), so H(p1, p2) and H(p2, p1) have the same answer,
+    and a sweep asks the returned function about each unordered pair once,
+    with p1 < p2.  It trusts its arguments.
     """
     odd = frozenset(p for p in primes if local_degree(field, Place(p)) % 2 == 1)
     two_odd = local_degree(field, Place(2)) % 2 == 1
@@ -117,7 +117,6 @@ def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int
             return Outcome.DIVISION
         return Outcome.SPLIT
 
-    outcome.symmetric = True
     return outcome
 
 

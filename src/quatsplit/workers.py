@@ -7,8 +7,7 @@ rows balances the triangle of oracle pairs between the workers, reading them
 in order keeps the report in order, and a full pipe stops its worker, so the
 parent never holds more than a few rows ahead.
 
-A row is what cli._RowKernel returns: a JSON-able list (the cells of the
-verdicts first met in the row) and two byte strings of codes. Any exception
+A row is what cli._RowKernel returns: two byte strings of codes. Any exception
 in a worker, or a worker that ends before its rows do, is an
 InternalInvariantError in the parent. Workers leave only through os._exit,
 so they never run the parent's stack, buffers or atexit hooks.
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import math
 import os
 import signal
@@ -29,13 +27,13 @@ from typing import NamedTuple, NoReturn
 
 from .errors import InternalInvariantError
 
-Row = tuple[list, bytes, bytes]
+Row = tuple[bytes, bytes]
 
-# One message on a worker's pipe: a tag, then the byte lengths of its text and
-# its two code strings, which follow in that order. Tag R carries a row, its
-# text the JSON of the row's list; tag E carries the message of the exception
-# that stopped the worker, as its text.
-_FRAME = struct.Struct("<cIII")
+# One message on a worker's pipe: a tag, then the byte lengths of its two
+# fields, which follow in that order. Tag R carries a row's two code strings;
+# tag E carries the message of the exception that stopped the worker in its
+# first field, and nothing in its second.
+_FRAME = struct.Struct("<cII")
 
 
 class Worker(NamedTuple):
@@ -105,19 +103,18 @@ def _serve(row: Callable[[int], Row], rows: range, fd: int, inherited: list[int]
         for other in inherited:
             os.close(other)
         for i in rows:
-            cells, first, second = row(i)
-            _send(fd, b"R", json.dumps(cells).encode() if cells else b"", first, second)
+            _send(fd, b"R", *row(i))
         status = 0
     except BaseException as exc:
         message = str(exc) if isinstance(exc, InternalInvariantError) else f"{type(exc).__name__}: {exc}"
         with contextlib.suppress(BaseException):
-            _send(fd, b"E", message.encode(), b"", b"")
+            _send(fd, b"E", message.encode(), b"")
     finally:
         os._exit(status)
 
 
-def _send(fd: int, tag: bytes, text: bytes, first: bytes, second: bytes) -> None:
-    view = memoryview(_FRAME.pack(tag, len(text), len(first), len(second)) + text + first + second)
+def _send(fd: int, tag: bytes, first: bytes, second: bytes) -> None:
+    view = memoryview(_FRAME.pack(tag, len(first), len(second)) + first + second)
     while view:
         view = view[os.write(fd, view) :]
 
@@ -126,14 +123,12 @@ def receive(worker: Worker) -> Row:
     """The worker's next row, as row(i) returned it in the worker."""
     head = worker.pipe.read(_FRAME.size)
     if len(head) == _FRAME.size:
-        tag, text_size, first_size, second_size = _FRAME.unpack(head)
-        body = worker.pipe.read(text_size + first_size + second_size)
-        if len(body) == text_size + first_size + second_size:
-            text = body[:text_size]
+        tag, first_size, second_size = _FRAME.unpack(head)
+        body = worker.pipe.read(first_size + second_size)
+        if len(body) == first_size + second_size:
             if tag == b"E":
-                raise InternalInvariantError(text.decode())
-            split = text_size + first_size
-            return (json.loads(text) if text else []), body[text_size:split], body[split:]
+                raise InternalInvariantError(body[:first_size].decode())
+            return body[:first_size], body[first_size:]
     raise InternalInvariantError(f"sweep worker {worker.pid} ended before sending all its rows")
 
 

@@ -9,14 +9,7 @@ import random
 import time
 
 from quatsplit.arith import legendre, primes_up_to
-from quatsplit.classify import (
-    Cyclotomic,
-    Outcome,
-    Quadratic,
-    classify_cyclotomic,
-    classify_kummer,
-    classify_quadratic,
-)
+from quatsplit.classify import Cyclotomic, Kummer, Outcome, Quadratic, classify
 from quatsplit.hilbert import discriminant_fast_path, ramified_places
 from quatsplit.oracle import division_oracle
 
@@ -38,7 +31,7 @@ def test_criterion_1_classifier_equals_oracle():
     for n in (3, 4, 6, 7, 8, 9, 11, 12):
         field = Cyclotomic(n)
         for p1, p2 in PAIRS_200:
-            verdict = classify_cyclotomic(n, p1, p2)
+            verdict = classify(Cyclotomic(n), p1, p2)
             oracle = division_oracle(field, p1, p2)
             if verdict.outcome is not oracle:
                 disagreements.append((n, p1, p2, verdict.outcome.value, oracle.value, verdict.trace))
@@ -54,9 +47,9 @@ def test_criterion_1_classifier_equals_oracle():
 
 
 def test_criterion_2_prime_power_equivalence():
-    """Prime-power fields through classify_kummer: oracle agreement, and the
-    same outcome for k = 1 and k = 2 (the same criteria when both go through
-    prop 4.1, i.e. l**1 > 12)."""
+    """Prime-power fields through classify(Kummer(l, k), ...): oracle
+    agreement, and the same outcome for k = 1 and k = 2 (the same criteria
+    when both go through prop 4.1, i.e. l**1 > 12)."""
     disagreements = []
     k_dependent = []
     for ell in (3, 7, 11, 19, 23):
@@ -66,7 +59,7 @@ def test_criterion_2_prime_power_equivalence():
             for p1, p2 in PAIRS_200:
                 if ell in (p1, p2):
                     continue
-                verdict = classify_kummer(ell, k, p1, p2)
+                verdict = classify(Kummer(ell, k), p1, p2)
                 oracle = division_oracle(field, p1, p2)
                 if verdict.outcome is not oracle:
                     disagreements.append((ell, k, p1, p2, verdict.outcome.value, oracle.value))
@@ -206,10 +199,10 @@ def test_criterion_7_legendre_law_suite():
 
 def test_criterion_8_pinned_paper_examples():
     checks = [
-        (classify_cyclotomic(7, 3, 2), "prop3.3/case2"),
-        (classify_cyclotomic(12, 13, 2), "prop3.8/case2"),
-        (classify_cyclotomic(9, 19, 2), "prop3.6/case2"),
-        (classify_quadratic(-7, 3, 2), "thm3.1/case2/p≡3mod8"),
+        (classify(Cyclotomic(7), 3, 2), "prop3.3/case2"),
+        (classify(Cyclotomic(12), 13, 2), "prop3.8/case2"),
+        (classify(Cyclotomic(9), 19, 2), "prop3.6/case2"),
+        (classify(Quadratic(-7), 3, 2), "thm3.1/case2/p≡3mod8"),
     ]
     problems = []
     for verdict, expected_id in checks:

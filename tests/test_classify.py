@@ -13,10 +13,6 @@ from quatsplit.classify import (
     Outcome,
     Quadratic,
     classify,
-    classify_biquadratic,
-    classify_cyclotomic,
-    classify_kummer,
-    classify_quadratic,
 )
 from quatsplit.errors import (
     BadModulusError,
@@ -33,15 +29,15 @@ PAIRS_100 = [(p1, p2) for p1 in primes_up_to(100) for p2 in primes_up_to(100) if
 
 
 def test_quadratic_pinned():
-    v = classify_quadratic(-7, 3, 2)
+    v = classify(Quadratic(-7), 3, 2)
     assert v.outcome is Outcome.DIVISION and v.certainty is Certainty.EXACT
     assert v.fired == ("thm3.1/case2/p≡3mod8",)
 
-    v = classify_quadratic(-1, 5, 2)
+    v = classify(Quadratic(-1), 5, 2)
     assert v.outcome is Outcome.DIVISION
     assert v.fired == ("thm3.1/case2/p≡5mod8",)
 
-    v = classify_quadratic(-3, 5, 2)
+    v = classify(Quadratic(-3), 5, 2)
     assert v.outcome is Outcome.SPLIT
     assert v.fired == ()
 
@@ -63,63 +59,63 @@ def test_symmetric_in_primes():
 
 
 def test_biquadratic_pinned():
-    v = classify_biquadratic(-1, 2, 17, 3)
+    v = classify(Biquadratic(-1, 2), 17, 3)
     assert v.outcome is Outcome.DIVISION
     assert v.fired == ("thm3.4/case1",)
 
-    v = classify_biquadratic(-1, -3, 13, 2)
+    v = classify(Biquadratic(-1, -3), 13, 2)
     assert v.outcome is Outcome.DIVISION
     assert v.fired == ("thm3.4/case2/p≡5mod8",)
 
-    v = classify_biquadratic(-1, 2, 7, 3)
+    v = classify(Biquadratic(-1, 2), 7, 3)
     assert v.outcome is Outcome.SPLIT
     assert v.fired == ()
 
 
 def test_cyclotomic_pinned():
-    v = classify_cyclotomic(7, 3, 2)
+    v = classify(Cyclotomic(7), 3, 2)
     assert v.outcome is Outcome.DIVISION
     assert "prop3.3/case2" in v.fired
 
-    v = classify_cyclotomic(12, 13, 2)
+    v = classify(Cyclotomic(12), 13, 2)
     assert v.outcome is Outcome.DIVISION
     assert "prop3.8/case2" in v.fired
 
-    v = classify_cyclotomic(9, 19, 2)
+    v = classify(Cyclotomic(9), 19, 2)
     assert v.outcome is Outcome.DIVISION
     assert "prop3.6/case2" in v.fired
 
-    v = classify_cyclotomic(7, 7, 2)
+    v = classify(Cyclotomic(7), 7, 2)
     assert v.outcome is Outcome.SPLIT
 
-    v = classify_cyclotomic(8, 17, 3)
+    v = classify(Cyclotomic(8), 17, 3)
     assert v.outcome is Outcome.DIVISION
     assert v.fired == ("prop3.5/main",)
 
-    v = classify_cyclotomic(5, 11, 2)
+    v = classify(Cyclotomic(5), 11, 2)
     assert v.outcome is Outcome.DIVISION and v.certainty is Certainty.SUFFICIENT_ONLY
     assert "prop3.9/p1≡1mod5" in v.fired
 
-    v = classify_cyclotomic(5, 7, 3)
+    v = classify(Cyclotomic(5), 7, 3)
     assert v.outcome is Outcome.UNKNOWN and v.certainty is Certainty.SUFFICIENT_ONLY
     assert v.fired == ()
 
 
 def test_cyclotomic_reduction_traces():
-    v = classify_cyclotomic(6, 7, 3)
+    v = classify(Cyclotomic(6), 7, 3)
     assert v.trace[0].criterion == "reduction/n6→n3" and v.trace[0].fired
-    v = classify_cyclotomic(3, 7, 3)
+    v = classify(Cyclotomic(3), 7, 3)
     assert v.trace[0].criterion == "reduction/Q(ζ3)→Q(√-3)"
-    v = classify_cyclotomic(4, 5, 3)
+    v = classify(Cyclotomic(4), 5, 3)
     assert v.trace[0].criterion == "reduction/Q(ζ4)→Q(i)"
 
 
 def test_reduction_coherence():
     """n = 6 decides exactly like n = 3, and n = 10 like n = 5."""
     for p1, p2 in PAIRS_200:
-        a, b = classify_cyclotomic(6, p1, p2), classify_cyclotomic(3, p1, p2)
+        a, b = classify(Cyclotomic(6), p1, p2), classify(Cyclotomic(3), p1, p2)
         assert (a.outcome, a.certainty, a.criteria()) == (b.outcome, b.certainty, b.criteria()), (p1, p2)
-        a, b = classify_cyclotomic(10, p1, p2), classify_cyclotomic(5, p1, p2)
+        a, b = classify(Cyclotomic(10), p1, p2), classify(Cyclotomic(5), p1, p2)
         assert (a.outcome, a.certainty, a.criteria()) == (b.outcome, b.certainty, b.criteria()), (p1, p2)
 
 
@@ -129,8 +125,8 @@ def test_specialization_coherence():
     cases = [(3, 3, 3), (3, 3, 9), (7, 2, 7), (11, 2, 11)]
     for ell, k, n in cases:
         for p1, p2 in PAIRS_200:
-            direct = classify_kummer(ell, k, p1, p2)
-            vian = classify_cyclotomic(n, p1, p2)
+            direct = classify(Kummer(ell, k), p1, p2)
+            vian = classify(Cyclotomic(n), p1, p2)
             assert direct.outcome is vian.outcome, (ell, k, n, p1, p2)
 
 
@@ -138,47 +134,47 @@ def test_prop41_k_independence():
     """Same outcome for every k; same criteria wherever l**k goes through prop 4.1."""
     for ell in (3, 7, 11):
         for p1, p2 in PAIRS_100:
-            verdicts = {k: classify_kummer(ell, k, p1, p2) for k in (1, 2, 3)}
+            verdicts = {k: classify(Kummer(ell, k), p1, p2) for k in (1, 2, 3)}
             assert len({(v.outcome, v.certainty) for v in verdicts.values()}) == 1, (ell, p1, p2)
             prop41 = {v.criteria() for k, v in verdicts.items() if ell**k > 12}
             assert len(prop41) == 1, (ell, p1, p2)
 
 
 def test_prop41_pinned():
-    v = classify_cyclotomic(27, 19, 2)
+    v = classify(Cyclotomic(27), 19, 2)
     assert v.outcome is Outcome.DIVISION and v.fired == ("prop4.1/case2",)
-    v = classify_cyclotomic(49, 3, 2)
+    v = classify(Cyclotomic(49), 3, 2)
     assert v.outcome is Outcome.DIVISION and v.fired == ("prop4.1/case2",)
     # (13|5) = (3|5) = -1 and (-11|5) = (-1|5)(11|5) = +1: case 1 fires
-    v = classify_cyclotomic(121, 13, 5)
+    v = classify(Cyclotomic(121), 13, 5)
     assert v.outcome is Outcome.DIVISION and v.fired == ("prop4.1/case1",)
 
 
 def test_prop41_rejects_out_of_scope():
     with pytest.raises(BadModulusError):
-        classify_kummer(5, 1, 7, 3)
+        classify(Kummer(5, 1), 7, 3)
     with pytest.raises(InvalidInputError):
-        classify_kummer(3, 0, 7, 5)
+        classify(Kummer(3, 0), 7, 5)
     # l**k must be below 2**64: 3**40 < 2**64 < 3**41
-    assert classify_kummer(3, 40, 7, 5).certainty is Certainty.EXACT
+    assert classify(Kummer(3, 40), 7, 5).certainty is Certainty.EXACT
     for k in (41, 20000, 10**12):
         with pytest.raises(InvalidInputError) as info:
-            classify_kummer(3, k, 7, 5)
+            classify(Kummer(3, k), 7, 5)
         assert not isinstance(info.value, BadModulusError)
 
 
 def test_kummer_matches_cyclotomic():
-    assert classify_kummer(3, 1, 7, 3).outcome is classify_cyclotomic(3, 7, 3).outcome
-    v = classify_kummer(7, 1, 3, 2)
+    assert classify(Kummer(3, 1), 7, 3).outcome is classify(Cyclotomic(3), 7, 3).outcome
+    v = classify(Kummer(7, 1), 3, 2)
     assert v.outcome is Outcome.DIVISION
     assert v.trace[0].criterion == "reduction/kummer(7^1)→cyclotomic(7)"
     # p = ell is fine here: the cyclotomic route covers it
-    v = classify_kummer(3, 2, 3, 7)
+    v = classify(Kummer(3, 2), 3, 7)
     assert v.outcome in (Outcome.DIVISION, Outcome.SPLIT)
     for ell, k in [(3, 2), (7, 1), (11, 2), (19, 1), (23, 1)]:
         for p1, p2 in PAIRS_100[:500]:
-            a = classify_kummer(ell, k, p1, p2)
-            b = classify_cyclotomic(ell**k, p1, p2)
+            a = classify(Kummer(ell, k), p1, p2)
+            b = classify(Cyclotomic(ell**k), p1, p2)
             assert a.outcome is b.outcome and a.certainty is b.certainty, (ell, k, p1, p2)
 
 
@@ -207,48 +203,48 @@ def test_point_classify_relabels_once(monkeypatch):
 
 def test_kummer_rejects_bad_modulus():
     with pytest.raises(BadModulusError):
-        classify_kummer(5, 1, 7, 3)
+        classify(Kummer(5, 1), 7, 3)
     with pytest.raises(BadModulusError):
-        classify_kummer(9, 1, 7, 3)
+        classify(Kummer(9, 1), 7, 3)
 
 
 def test_unsupported_cyclotomic_indices():
     for n in (13, 16, 17, 20, 21, 24, 25, 100):
         with pytest.raises(UnsupportedFieldError):
-            classify_cyclotomic(n, 7, 3)
+            classify(Cyclotomic(n), 7, 3)
     # 2 * 13 canonicalizes to the unsupported 13
     with pytest.raises(UnsupportedFieldError):
-        classify_cyclotomic(26, 7, 3)
+        classify(Cyclotomic(26), 7, 3)
     # but prime-power indices beyond 12 are fine
-    assert classify_cyclotomic(27, 7, 3).certainty is Certainty.EXACT
-    assert classify_cyclotomic(19, 7, 3).certainty is Certainty.EXACT
-    assert classify_cyclotomic(49, 7, 3).certainty is Certainty.EXACT
+    assert classify(Cyclotomic(27), 7, 3).certainty is Certainty.EXACT
+    assert classify(Cyclotomic(19), 7, 3).certainty is Certainty.EXACT
+    assert classify(Cyclotomic(49), 7, 3).certainty is Certainty.EXACT
 
 
 def test_input_validation():
     with pytest.raises(EqualPrimesError):
-        classify_cyclotomic(7, 3, 3)
+        classify(Cyclotomic(7), 3, 3)
     with pytest.raises(EqualPrimesError):
-        classify_quadratic(-7, 2, 2)
+        classify(Quadratic(-7), 2, 2)
     with pytest.raises(InvalidInputError):
-        classify_cyclotomic(7, 9, 2)
+        classify(Cyclotomic(7), 9, 2)
     with pytest.raises(InvalidInputError):
-        classify_quadratic(-7, -3, 2)
+        classify(Quadratic(-7), -3, 2)
     with pytest.raises(NonSquarefreeError):
-        classify_quadratic(12, 7, 3)
+        classify(Quadratic(12), 7, 3)
     with pytest.raises(DisallowedValueError):
-        classify_quadratic(1, 7, 3)
+        classify(Quadratic(1), 7, 3)
     with pytest.raises(InvalidInputError):
-        classify_biquadratic(-1, -1, 7, 3)
+        classify(Biquadratic(-1, -1), 7, 3)
     with pytest.raises(NonSquarefreeError):
-        classify_biquadratic(-1, 12, 7, 3)
+        classify(Biquadratic(-1, 12), 7, 3)
 
 
 def test_verdict_invariants_sweep():
     """Exact verdicts are Division or Split; Unknown only for n in {5, 10}."""
     for n in (3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 19, 27):
         for p1, p2 in PAIRS_100[:800]:
-            v = classify_cyclotomic(n, p1, p2)
+            v = classify(Cyclotomic(n), p1, p2)
             if v.certainty is Certainty.EXACT:
                 assert v.outcome in (Outcome.DIVISION, Outcome.SPLIT), (n, p1, p2)
             if v.outcome is Outcome.UNKNOWN:
@@ -260,8 +256,8 @@ def test_verdict_invariants_sweep():
 def test_biquadratic_cyclotomic_coherence():
     """Q(zeta_8) = Q(i, sqrt 2) and Q(zeta_12) = Q(i, sqrt -3)."""
     for p1, p2 in PAIRS_200:
-        assert classify_cyclotomic(8, p1, p2).outcome is classify_biquadratic(-1, 2, p1, p2).outcome, (p1, p2)
-        assert classify_cyclotomic(12, p1, p2).outcome is classify_biquadratic(-1, -3, p1, p2).outcome, (p1, p2)
+        assert classify(Cyclotomic(8), p1, p2).outcome is classify(Biquadratic(-1, 2), p1, p2).outcome, (p1, p2)
+        assert classify(Cyclotomic(12), p1, p2).outcome is classify(Biquadratic(-1, -3), p1, p2).outcome, (p1, p2)
 
 
 def test_dispatcher():

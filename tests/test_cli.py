@@ -405,40 +405,45 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
 
 
 def _forced_oracle(field, primes):
-    """A bogus sweep oracle: Division when p1 < p2, else Split."""
+    """A bogus sweep oracle, symmetric as the real one is: Split when 7 is in the pair, else Division."""
     from quatsplit.classify import Outcome
 
-    return lambda p1, p2: Outcome.DIVISION if p1 < p2 else Outcome.SPLIT
+    return lambda p1, p2: Outcome.SPLIT if 7 in (p1, p2) else Outcome.DIVISION
 
 
-# verify cyclotomic:5 --max-prime 13 under _forced_oracle: Unknown rows with
-# p1 < p2 are UNCOVERED, Division rows with p1 > p2 are DISAGREE.
+# verify cyclotomic:5 --max-prime 13 under _forced_oracle. Prop 3.9 fires only
+# for p ≡ 1 (mod 5), so only with 11, and (p|11) = -1 for p in {2, 7, 13}: the
+# six Division rows pair 11 with those, and the two with 7 disagree, each with
+# its own trace. The 24 Unknown rows are UNCOVERED unless 7 is in the pair.
 FORCED_TEXT = """field: cyclotomic:5
 max_prime: 13
 pairs: 30
-agree: 3
-disagree: 3
+agree: 4
+disagree: 2
 unknown: 24
 UNCOVERED p1=2 p2=3 oracle=Division
 UNCOVERED p1=2 p2=5 oracle=Division
-UNCOVERED p1=2 p2=7 oracle=Division
 UNCOVERED p1=2 p2=13 oracle=Division
+UNCOVERED p1=3 p2=2 oracle=Division
 UNCOVERED p1=3 p2=5 oracle=Division
-UNCOVERED p1=3 p2=7 oracle=Division
 UNCOVERED p1=3 p2=11 oracle=Division
 UNCOVERED p1=3 p2=13 oracle=Division
-UNCOVERED p1=5 p2=7 oracle=Division
+UNCOVERED p1=5 p2=2 oracle=Division
+UNCOVERED p1=5 p2=3 oracle=Division
 UNCOVERED p1=5 p2=11 oracle=Division
 UNCOVERED p1=5 p2=13 oracle=Division
-UNCOVERED p1=7 p2=13 oracle=Division
-DISAGREE p1=11 p2=2 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:hit|prop3.9/p2≡1mod5:miss
+DISAGREE p1=7 p2=11 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:miss|prop3.9/p2≡1mod5:hit
+UNCOVERED p1=11 p2=3 oracle=Division
+UNCOVERED p1=11 p2=5 oracle=Division
 DISAGREE p1=11 p2=7 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:hit|prop3.9/p2≡1mod5:miss
-DISAGREE p1=13 p2=11 classify=Division oracle=Split trace=prop3.9/p1≡1mod5:miss|prop3.9/p2≡1mod5:hit
+UNCOVERED p1=13 p2=2 oracle=Division
+UNCOVERED p1=13 p2=3 oracle=Division
+UNCOVERED p1=13 p2=5 oracle=Division
 """
 
 FORCED_SHA256 = {
-    "csv": "d057a261446569e7a48be9e39a3cf9a2dc4c10b0adbc86e843abf74e677ad035",
-    "json": "9c55363194dea762d1211c52e0c40ce3d08b3d0779487b6826e779d5cb223a23",
+    "csv": "ccee47511443647535db7dcd02b61ee09cd27dccc93777c067124edcfce77f81",
+    "json": "3d248da8fedba78b4aefc6e563e6c6df5de38b953fe951430fe831306df74282",
 }
 
 
@@ -523,7 +528,7 @@ def test_verify_json_edge_bodies(capsys, max_prime):
 
 
 def _failing_oracle(field, primes):
-    """The real sweep oracle, until its 41st pair (in the third block) raises an invariant failure."""
+    """The real sweep oracle, until its 41st pair (in the fourth block, in process) raises an invariant failure."""
     from quatsplit.errors import InternalInvariantError
 
     outcome_of = sweep_oracle(field, primes)
@@ -612,10 +617,25 @@ SWEEP_FIELDS = (
     Kummer(7, 1),
 )
 
+# Fields whose rows also go through forked workers: the four sufficient-only
+# verdicts of n = 5, reduction steps on every trace (14 → 7, Kummer), and a
+# biquadratic table.
+WORKER_SWEEP_FIELDS = (Cyclotomic(5), Cyclotomic(14), Kummer(3, 2), Biquadratic(-1, -3))
 
-@pytest.mark.parametrize("field", SWEEP_FIELDS, ids=str)
-def test_verify_round_trip(field):
-    """Every sweep row equals the point path: classify and division_oracle on its pair."""
+
+@pytest.mark.parametrize(
+    "field, forked",
+    [pytest.param(field, False, id=str(field)) for field in SWEEP_FIELDS]
+    + [pytest.param(field, True, id=f"{field}-workers") for field in WORKER_SWEEP_FIELDS],
+)
+def test_verify_round_trip(request, field, forked):
+    """Every sweep row equals the point path: classify and division_oracle on its pair.
+
+    forked: every sweep of the test runs in two forked workers (the sweep_workers
+    fixture), so each row's codes pass through the pipes first.
+    """
+    if forked:
+        request.getfixturevalue("sweep_workers")
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     report = build_sweep_report(field, 60)
     primes = primes_up_to(60)
@@ -689,14 +709,14 @@ def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
         return prime_pair_symbols(p, q)
 
     def counted_sweep_classifier(field, primes):
-        verdict_of = sweep_classifier_of(field, primes)
+        verdicts, code_of = sweep_classifier_of(field, primes)
 
         def counted(p1, p2):
             nonlocal classifier_calls
             classifier_calls += 1
-            return verdict_of(p1, p2)
+            return code_of(p1, p2)
 
-        return counted
+        return verdicts, counted
 
     monkeypatch.setattr(oracle_module, "prime_pair_symbols", counted_prime_pair_symbols)
     monkeypatch.setattr(cli_module, "sweep_classifier", counted_sweep_classifier)
@@ -858,7 +878,7 @@ def test_internal_invariant_survives_optimize():
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_worker_path_forced_bodies(capsys, monkeypatch, sweep_workers, fmt):
-    """The pinned DISAGREE/UNCOVERED bodies of an oracle that is not symmetric, from workers."""
+    """The pinned DISAGREE/UNCOVERED bodies of a bogus oracle, from workers."""
     test_verify_disagree_and_uncovered_bodies(capsys, monkeypatch, fmt)
 
 
@@ -883,7 +903,6 @@ def _raising_oracle(field, primes):
             raise ZeroDivisionError("forced at p1 = 23")
         return outcome_of(p1, p2)
 
-    outcome.symmetric = True
     return outcome
 
 
@@ -911,7 +930,6 @@ def dying_oracle(field, primes):
             os.kill(os.getpid(), signal.SIGKILL)
         return outcome_of(p1, p2)
 
-    outcome.symmetric = True
     return outcome
 
 cli.sweep_oracle = dying_oracle
@@ -981,7 +999,6 @@ def _stalling_oracle(field, primes):
             time.sleep(120)
         return outcome_of(p1, p2)
 
-    outcome.symmetric = True
     return outcome
 
 

@@ -9,7 +9,7 @@ from quatsplit.classify import (
     Kummer,
     Outcome,
     Quadratic,
-    classify_quadratic,
+    classify,
 )
 from quatsplit.errors import EqualPrimesError, InternalInvariantError, UnsupportedFieldError
 from quatsplit.hilbert import INFINITE_PLACE, Place, ramified_places
@@ -112,7 +112,7 @@ def test_oracle_agrees_with_quadratic_criterion():
     for d in ds:
         field = Quadratic(d)
         for p1, p2 in PAIRS_200:
-            expected = classify_quadratic(d, p1, p2).outcome
+            expected = classify(Quadratic(d), p1, p2).outcome
             assert division_oracle(field, p1, p2) is expected, (d, p1, p2)
 
 
