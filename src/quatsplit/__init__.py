@@ -2,7 +2,7 @@
 over quadratic, biquadratic, cyclotomic, and Kummer base fields, with an
 independent local-global oracle for cross-validation."""
 
-from .arith import euler_phi, is_prime, legendre, multiplicative_order, primes_up_to
+from .arith import euler_phi, is_prime, legendre, primes_up_to
 from .classify import (
     Biquadratic,
     Certainty,
@@ -72,7 +72,6 @@ __all__ = [
     "legendre",
     "local_degree",
     "make_quadratic",
-    "multiplicative_order",
     "primes_up_to",
     "ramified_places",
     "splitting_type",

@@ -32,7 +32,9 @@ import json
 import os
 import stat
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
+from functools import partial
 from typing import NamedTuple
 
 from . import arith, cyclotomic, workers
@@ -98,7 +100,7 @@ def format_trace(verdict: Verdict) -> str:
 
 
 def _csv_body(rows: Iterable[Iterable[object]]) -> str:
-    """rows as CSV, header row included, with "\n" line ends."""
+    """rows as CSV, with "\n" line ends."""
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
@@ -180,16 +182,17 @@ class SweepReport:
 
     Iterating it runs the pair loop and yields the rows one block per p1, as
     a list[SweepRow] in ascending p2, so no more than one block is ever held.
-    The loop tallies pairs, agree, disagree and unknown as the blocks pass:
-    they are final once the iteration is done, and each new iteration starts
-    them again from zero.
+    pairs, agree, disagree and unknown are the tallies of the last iteration
+    that completed: they are set when it completes, and 0 before.
 
-    The rows come from _RowKernel as codes: verdict codes index the field's
-    verdict table, whose (classify, certainty, trace) cells are built once
-    per iteration, and oracle codes index Outcome. A sweep of
-    WORKER_MIN_PAIRS pairs or more runs the kernel in forked workers (see the
-    workers module), a smaller one in this process. Either way the blocks are
-    built here, from the same codes.
+    Both sides of the sweep answer in codes: a verdict code indexes the
+    field's verdict table, an oracle code the oracle's outcome table. The
+    (classify, certainty, oracle, agree, trace) cells of each (verdict code,
+    oracle code) pair are built once per iteration, so a row is its primes
+    and the cells of its code pair, and the tallies are counts of code
+    pairs. A sweep of WORKER_MIN_PAIRS pairs or more computes the codes in
+    forked workers (see the workers module), a smaller one in this process.
+    Either way the blocks are built here, from the same codes.
     """
 
     def __init__(
@@ -199,7 +202,8 @@ class SweepReport:
         primes: list[int],
         verdicts: tuple[Verdict, ...],
         code_of: Callable[[int, int], int],
-        oracle_of: Callable[[int, int], Outcome],
+        outcomes: tuple[Outcome, ...],
+        oracle_of: Callable[[int, int], int],
     ):
         self.field = field
         self.max_prime = max_prime
@@ -207,83 +211,61 @@ class SweepReport:
         self._primes = primes
         self._verdicts = verdicts
         self._code_of = code_of
+        self._outcomes = outcomes
         self._oracle_of = oracle_of
 
     def __iter__(self) -> Iterator[list[SweepRow]]:
-        primes = self._primes
+        primes, code_of, oracle_of = self._primes, self._code_of, self._oracle_of
         n = len(primes)
-        kernel = _RowKernel(primes, self._code_of, self._oracle_of)
-        cells = [(v.outcome.value, v.certainty.value, format_trace(v)) for v in self._verdicts]
-        # The oracle is asked only about p2 > p1. Its codes are kept for the
-        # p2 < p1 half of later rows: slot j*(j-1)/2 + i holds the pair of
-        # indices i < j, so each row reads its half as one slice.
-        triangle = bytearray(n * (n - 1) // 2)
-        unknown_cell = Outcome.UNKNOWN.value
-        self.pairs = self.agree = self.disagree = self.unknown = 0
+
+        def kernel(i: int) -> tuple[bytes, bytes]:
+            """Row i's codes: the verdict of (p1, p2) for every other p2, the oracle's for p2 > p1.
+
+            The local symbols are symmetric, so the oracle's p2 < p1 half comes from earlier rows.
+            """
+            p1 = primes[i]
+            return (
+                bytes(map(partial(code_of, p1), primes[:i] + primes[i + 1 :])),
+                bytes(map(partial(oracle_of, p1), primes[i + 1 :])),
+            )
+
+        cells = {
+            (v, o): (
+                verdict.outcome.value,
+                verdict.certainty.value,
+                outcome.value,
+                verdict.outcome is outcome,
+                format_trace(verdict),
+            )
+            for v, verdict in enumerate(self._verdicts)
+            for o, outcome in enumerate(self._outcomes)
+        }
+        # square[i*n + j] holds the oracle code of (primes[i], primes[j]) for
+        # i < j: row i writes its p2 > p1 half as one slice, and reads its
+        # p2 < p1 half, column i above the diagonal, as one strided slice.
+        square = bytearray(n * n)
+        counts: Counter[tuple[int, int]] = Counter()
         forked = workers.start(kernel, n) if n * (n - 1) >= WORKER_MIN_PAIRS else []
         try:
             for i, p1 in enumerate(primes):
-                if forked:
-                    verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)])
-                else:
-                    verdict_codes, oracle_codes = kernel(i)
-                for j, code in enumerate(oracle_codes, i + 1):
-                    triangle[j * (j - 1) // 2 + i] = code
-                start = i * (i - 1) // 2
-                oracle_codes = triangle[start : start + i] + oracle_codes
+                verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)]) if forked else kernel(i)
+                square[i * n + i + 1 : (i + 1) * n] = oracle_codes
+                code_pairs = list(zip(verdict_codes, square[i : i * n : n] + oracle_codes))
+                counts.update(code_pairs)
                 others = primes[:i] + primes[i + 1 :]
-                block = []
-                agree = disagree = unknown = 0
-                for p2, verdict_code, oracle_code in zip(others, verdict_codes, oracle_codes):
-                    outcome, certainty, trace = cells[verdict_code]
-                    oracle = _ORACLE_CELLS[oracle_code]
-                    matches = outcome == oracle
-                    if outcome == unknown_cell:
-                        unknown += 1
-                    elif matches:
-                        agree += 1
-                    else:
-                        disagree += 1
-                    block.append(SweepRow(p1, p2, outcome, certainty, oracle, matches, trace))
-                self.pairs += len(block)
-                self.agree += agree
-                self.disagree += disagree
-                self.unknown += unknown
-                yield block
+                yield [SweepRow._make((p1, p2) + cells[pair]) for p2, pair in zip(others, code_pairs)]
         finally:
             workers.stop(forked)
-
-
-# An oracle code is the outcome's index in Outcome; this is its report cell.
-_ORACLE_CELLS = tuple(outcome.value for outcome in Outcome)
-
-
-class _RowKernel:
-    """The pair work of sweep row i, for p1 = primes[i], as two byte strings of codes.
-
-    Calling it with i returns (verdict codes, oracle codes). The verdict
-    codes are code_of(p1, p2), the index in the field's verdict table, one
-    byte per other p2 in ascending order. The oracle codes are the index in
-    Outcome of oracle_of(p1, p2), one byte per p2 > p1: the local symbols are
-    symmetric, so the sweep takes the p2 < p1 half from earlier rows.
-    """
-
-    def __init__(
-        self, primes: list[int], code_of: Callable[[int, int], int], oracle_of: Callable[[int, int], Outcome]
-    ):
-        self._primes = primes
-        self._code_of = code_of
-        self._oracle_of = oracle_of
-        # keyed by id: an Outcome hashes in Python code
-        self._oracle_codes = {id(outcome): code for code, outcome in enumerate(Outcome)}
-
-    def __call__(self, i: int) -> tuple[bytes, bytes]:
-        primes, code_of, oracle_of, oracle_codes = self._primes, self._code_of, self._oracle_of, self._oracle_codes
-        p1 = primes[i]
-        return (
-            bytes([code_of(p1, p2) for p2 in primes[:i] + primes[i + 1 :]]),
-            bytes([oracle_codes[id(oracle_of(p1, p2))] for p2 in primes[i + 1 :]]),
-        )
+        self.pairs = self.agree = self.disagree = self.unknown = 0
+        for pair, count in counts.items():
+            outcome, _, _, agree, _ = cells[pair]
+            self.pairs += count
+            if outcome == Outcome.UNKNOWN.value:
+                self.unknown += count
+            elif agree:
+                self.agree += count
+            else:
+                self.disagree += count
 
 
 def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
@@ -300,8 +282,8 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     # The classifier checks the field first, Kummer's l**k < 2**64 bound included.
     verdicts, code_of = sweep_classifier(field, primes)
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
-    oracle_of = sweep_oracle(oracle_field, primes)
-    return SweepReport(field, max_prime, primes, verdicts, code_of, oracle_of)
+    outcomes, oracle_of = sweep_oracle(oracle_field, primes)
+    return SweepReport(field, max_prime, primes, verdicts, code_of, outcomes, oracle_of)
 
 
 # Each renderer yields the report body in chunks as the report's blocks pass,
@@ -311,24 +293,13 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
 
 
 def render_report_csv(report: SweepReport) -> Iterator[str]:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-
-    def drain() -> str:
-        chunk = buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
-        return chunk
-
     field = str(report.field)
-    writer.writerow(("field", *SweepRow._fields))
-    yield drain()
+    yield _csv_body([("field", *SweepRow._fields)])
     for block in report:
-        writer.writerows(
+        yield _csv_body(
             (field, p1, p2, outcome, certainty, oracle, "true" if agree else "false", trace)
             for p1, p2, outcome, certainty, oracle, agree, trace in block
         )
-        yield drain()
 
 
 # A row as json.dumps(..., indent=2) lays it out inside "rows".

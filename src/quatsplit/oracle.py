@@ -10,6 +10,7 @@ criteria, so agreement between the two is a real cross-check.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 
@@ -26,7 +27,7 @@ from .errors import InternalInvariantError, UnsupportedFieldError
 from .hilbert import Place, prime_pair_symbols, ramified_places
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def local_degree(field: FieldDescriptor, place: Place) -> int:
     """Degree over Q_v of the completion of K above the place v.
 
@@ -65,7 +66,10 @@ def _biquadratic_degree(d1: int, d2: int, place: Place) -> int:
         raise UnsupportedFieldError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
     if place.prime is None:
         return 2 if (d1 < 0 or d2 < 0) else 1
-    d3 = arith.squarefree_part(d1 * d2)
+    # The third subfield is Q(sqrt d1*d2), and d1*d2 = g**2 * (d1/g) * (d2/g)
+    # with coprime squarefree factors, so nothing needs factoring.
+    g = math.gcd(d1, d2)
+    d3 = (d1 // g) * (d2 // g)
     split_count = sum(
         1
         for d in (d1, d2, d3)
@@ -88,12 +92,27 @@ def _cyclotomic_degree(n: int, place: Place) -> int:
 def division_oracle(field: FieldDescriptor, p1: int, p2: int) -> Outcome:
     """DIVISION iff some ramified place of H_Q(p1, p2) has odd local degree in K."""
     arith.require_distinct_primes(p1, p2)
-    ram = ramified_places(p1, p2)
-    return _decide(ram.ramified, lambda v: local_degree(field, v) % 2 == 1, p1, p2)
+    ramified = ramified_places(p1, p2).ramified
+    # Positive slots: the infinite place never ramifies, so only finite
+    # degrees can decide.
+    if not all(v.is_finite for v in ramified):
+        raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
+    if any(local_degree(field, v) % 2 == 1 for v in ramified):
+        return Outcome.DIVISION
+    return Outcome.SPLIT
 
 
-def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int, int], Outcome]:
-    """division_oracle(field, p1, p2) for every pair of distinct p1, p2 taken from primes.
+# The oracle's two answers; sweep_oracle's codes index this table.
+_OUTCOMES = (Outcome.DIVISION, Outcome.SPLIT)
+
+
+def sweep_oracle(
+    field: FieldDescriptor, primes: Sequence[int]
+) -> tuple[tuple[Outcome, ...], Callable[[int, int], int]]:
+    """(outcomes, code_of): division_oracle(field, p1, p2) is outcomes[code_of(p1, p2)]
+    for every pair of distinct p1, p2 taken from primes, as sweep_classifier
+    returns its verdicts with their index function.  outcomes is
+    (DIVISION, SPLIT), so a code is 0 or 1.
 
     For a verify sweep: each prime becomes a Place once, which proves it
     prime, and its local degree in K is read once, as is the degree at 2.
@@ -104,28 +123,17 @@ def sweep_oracle(field: FieldDescriptor, primes: Sequence[int]) -> Callable[[int
     symbols are symmetric, (a, b)_v = (b, a)_v at every place (Serre, A Course
     in Arithmetic, III.1.1), so H(p1, p2) and H(p2, p1) have the same answer,
     and a sweep asks the returned function about each unordered pair once,
-    with p1 < p2.  It trusts its arguments.
+    with p1 < p2.  code_of trusts its arguments.
     """
     odd = frozenset(p for p in primes if local_degree(field, Place(p)) % 2 == 1)
     two_odd = local_degree(field, Place(2)) % 2 == 1
 
-    def outcome(p1: int, p2: int) -> Outcome:
+    def code_of(p1: int, p2: int) -> int:
         at_2, at_p1, at_p2, at_inf = prime_pair_symbols(p1, p2)
         if at_inf == -1:
             raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
         if (at_p1 == -1 and p1 in odd) or (at_p2 == -1 and p2 in odd) or (at_2 == -1 and two_odd):
-            return Outcome.DIVISION
-        return Outcome.SPLIT
+            return 0
+        return 1
 
-    return outcome
-
-
-def _decide(ramified: Sequence[Place], odd_degree: Callable[[Place], bool], p1: int, p2: int) -> Outcome:
-    # Positive slots: the infinite place never ramifies, so only finite
-    # degrees can decide.
-    if not all(v.is_finite for v in ramified):
-        raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
-    for v in ramified:
-        if odd_degree(v):
-            return Outcome.DIVISION
-    return Outcome.SPLIT
+    return _OUTCOMES, code_of

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import arith
-from .errors import DisallowedValueError, NonSquarefreeError
+from .errors import DisallowedValueError, InvalidInputError, NonSquarefreeError
 
 
 class SplittingType(Enum):
@@ -24,7 +24,12 @@ class QuadraticField:
 
 
 def make_quadratic(d: int) -> QuadraticField:
-    """Validate d and attach the discriminant: d when d % 4 == 1, else 4d."""
+    """Validate d and attach the discriminant: d when d % 4 == 1, else 4d.
+
+    |d| must be below 2**64, which bounds the squarefree check.
+    """
+    if abs(d) > arith.UINT64_MAX:
+        raise InvalidInputError(f"d must be below 2**64 in absolute value, got {d}")
     if d in (0, 1):
         raise DisallowedValueError(f"d must not be 0 or 1, got {d}")
     if not arith.is_squarefree(d):

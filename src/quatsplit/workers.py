@@ -7,10 +7,11 @@ rows balances the triangle of oracle pairs between the workers, reading them
 in order keeps the report in order, and a full pipe stops its worker, so the
 parent never holds more than a few rows ahead.
 
-A row is what cli._RowKernel returns: two byte strings of codes. Any exception
-in a worker, or a worker that ends before its rows do, is an
-InternalInvariantError in the parent. Workers leave only through os._exit,
-so they never run the parent's stack, buffers or atexit hooks.
+A row is what the row kernel of cli.SweepReport returns for it: two byte
+strings of codes, verdict codes and oracle codes. Any exception in a worker,
+or a worker that ends before its rows do, is an InternalInvariantError in the
+parent. Workers leave only through os._exit, so they never run the parent's
+stack, buffers or atexit hooks.
 """
 
 from __future__ import annotations

@@ -11,11 +11,10 @@ from quatsplit.arith import (
     is_prime,
     is_squarefree,
     legendre,
-    multiplicative_order,
     prime_power,
     primes_up_to,
-    squarefree_part,
 )
+from quatsplit.cyclotomic import canonical_n, factorization_shape
 from quatsplit.errors import InvalidInputError
 
 
@@ -139,44 +138,44 @@ def test_euler_phi_matches_gcd_count():
         assert euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1), n
 
 
+# The residual degree f of a prime p not dividing n is the multiplicative
+# order of p mod n, which cyclotomic computes from phi(n).
+
+
 def test_multiplicative_order_pinned():
     # powers of 2 mod 7: 2, 4, 1
-    assert multiplicative_order(2, 7) == 3
-    assert multiplicative_order(1, 12) == 1
+    assert factorization_shape(2, 7).f == 3
+    assert factorization_shape(13, 12).f == 1
     # powers of 2 mod 9: 2, 4, 8, 7, 5, 1
-    assert multiplicative_order(2, 9) == 6
-
-
-def test_multiplicative_order_rejects_non_coprime():
-    with pytest.raises(InvalidInputError):
-        multiplicative_order(6, 9)
-    with pytest.raises(InvalidInputError):
-        multiplicative_order(2, 1)
+    assert factorization_shape(2, 9).f == 6
 
 
 def test_multiplicative_order_divides_phi():
     rng = random.Random(0xA3)
+    primes = primes_up_to(2000)
     checked = 0
     while checked < 10_000:
-        n = rng.randrange(2, 2000)
-        a = rng.randrange(1, n)
-        if math.gcd(a, n) != 1:
+        n = canonical_n(rng.randrange(3, 2000))
+        p = rng.choice(primes)
+        if n % p == 0:
             continue
-        assert euler_phi(n) % multiplicative_order(a, n) == 0, (a, n)
+        assert euler_phi(n) % factorization_shape(p, n).f == 0, (p, n)
         checked += 1
 
 
 def test_multiplicative_order_matches_stepping():
     """The order from phi(n) equals the first power that steps back to 1."""
-    for n in range(2, 400):
-        for a in range(60):
-            if math.gcd(a, n) != 1:
+    for n in range(3, 400):
+        if n % 4 == 2:
+            continue
+        for p in primes_up_to(60):
+            if n % p == 0:
                 continue
-            x, f = a % n, 1
+            x, f = p % n, 1
             while x != 1:
-                x = x * a % n
+                x = x * p % n
                 f += 1
-            assert multiplicative_order(a, n) == f, (a, n)
+            assert factorization_shape(p, n).f == f, (p, n)
 
 
 def test_prime_power_matches_factorize():
@@ -205,9 +204,32 @@ def test_factorize_and_squarefree():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert is_squarefree(-7) and is_squarefree(30)
     assert not is_squarefree(12) and not is_squarefree(-45)
-    assert squarefree_part(12) == 3
-    assert squarefree_part(-12) == -3
-    assert squarefree_part(30) == 30
-    assert squarefree_part(-1 * -3) == 3  # product of the quadratic pair (-1, -3)
     with pytest.raises(InvalidInputError):
-        squarefree_part(0)
+        is_squarefree(0)
+
+
+def _squarefree_by_factorize(n: int) -> bool:
+    return all(e == 1 for _, e in factorize(abs(n)))
+
+
+def test_is_squarefree_matches_factorize():
+    """Trial division up to the cube root, then a square test, decides as full factoring does."""
+    for n in range(1, 30_000):
+        assert is_squarefree(n) is _squarefree_by_factorize(n), n
+        assert is_squarefree(-n) is is_squarefree(n), n
+    # the cofactor left after trial division: q**2, q*q' and their small multiples, q near 10**6
+    q, q2 = 999_983, 1_000_003
+    for cofactor in (q * q, q * q2, q2 * q2, q, q * 1_000_033):
+        for k in (1, 2, 3, 4, 6, 25, 30, 49, 997):
+            assert is_squarefree(cofactor * k) is _squarefree_by_factorize(cofactor * k), (cofactor, k)
+
+
+def test_is_squarefree_64_bit():
+    """Bounded work below 2**64: trial division stops at the cube root."""
+    largest = 2**64 - 59  # the largest prime below 2**64
+    assert is_squarefree(largest) and is_squarefree(-largest)
+    assert is_squarefree(1000000000000000003)
+    assert not is_squarefree((2**32 - 5) ** 2)
+    assert is_squarefree((2**32 - 5) * (2**32 - 17))
+    assert not is_squarefree(2_642_239**3)  # trial division reaches the largest prime cube below 2**64
+    assert is_squarefree(2**64 - 1)  # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417

@@ -391,7 +391,7 @@ def test_verify_disagreement_exit_code(capsys, monkeypatch, tmp_path):
     import quatsplit.cli as cli_module
     from quatsplit.classify import Outcome
 
-    monkeypatch.setattr(cli_module, "sweep_oracle", lambda field, primes: lambda p1, p2: Outcome.SPLIT)
+    monkeypatch.setattr(cli_module, "sweep_oracle", lambda field, primes: ((Outcome.SPLIT,), lambda p1, p2: 0))
     out_path = tmp_path / "bad.csv"
     code, _, _ = run_cli(
         capsys,
@@ -408,7 +408,7 @@ def _forced_oracle(field, primes):
     """A bogus sweep oracle, symmetric as the real one is: Split when 7 is in the pair, else Division."""
     from quatsplit.classify import Outcome
 
-    return lambda p1, p2: Outcome.SPLIT if 7 in (p1, p2) else Outcome.DIVISION
+    return (Outcome.DIVISION, Outcome.SPLIT), lambda p1, p2: 1 if 7 in (p1, p2) else 0
 
 
 # verify cyclotomic:5 --max-prime 13 under _forced_oracle. Prop 3.9 fires only
@@ -531,17 +531,17 @@ def _failing_oracle(field, primes):
     """The real sweep oracle, until its 41st pair (in the fourth block, in process) raises an invariant failure."""
     from quatsplit.errors import InternalInvariantError
 
-    outcome_of = sweep_oracle(field, primes)
+    outcomes, code_of = sweep_oracle(field, primes)
     calls = 0
 
-    def outcome(p1, p2):
+    def code(p1, p2):
         nonlocal calls
         calls += 1
         if calls > 40:
             raise InternalInvariantError("forced after 40 pairs")
-        return outcome_of(p1, p2)
+        return code_of(p1, p2)
 
-    return outcome
+    return outcomes, code
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -792,6 +792,30 @@ def test_classify_19_digit_prime_index_exits_promptly(spec):
     assert "outcome: Division\n" in result.stdout and "prop4.1/case3b:hit" in result.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--field", "quadratic:1000000000000000003", "--p", "3", "--q", "7"], EXIT_OK),
+        (["classify", "--field", "biquadratic:-1,1000000000000000003", "--p", "3", "--q", "7"], EXIT_OK),
+        (["verify", "--field", "quadratic:1000000000000000003", "--max-prime", "20"], EXIT_OK),
+        (["classify", "--field", f"quadratic:{2**64}", "--p", "3", "--q", "7"], EXIT_BAD_ARGS),
+    ],
+    ids=["classify-quadratic", "classify-biquadratic", "verify-quadratic", "quadratic-2**64"],
+)
+def test_quadratic_d_exits_promptly(argv, code):
+    """The squarefree check of d stops trial division at the cube root of d, and |d| >= 2**64 is bad input."""
+    result = subprocess.run(
+        [sys.executable, "-m", "quatsplit", *argv],
+        capture_output=True,
+        text=True,
+        env=_env_with_src(),
+        timeout=60,
+    )
+    assert result.returncode == code, result.stderr
+    if code == EXIT_BAD_ARGS:
+        assert result.stderr.startswith("error: d must be below 2**64")
+
+
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_cyclotomic_index_of_2_64_or_more_exits_promptly(command):
     """A cyclotomic index n >= 2**64 is bad input, rejected before anything factors it."""
@@ -896,14 +920,14 @@ def test_worker_path_exception_exits_5(capsys, monkeypatch, sweep_workers, tmp_p
 
 def _raising_oracle(field, primes):
     """The real sweep oracle, until p1 = 23 meets a bug that is not an invariant failure."""
-    outcome_of = sweep_oracle(field, primes)
+    outcomes, code_of = sweep_oracle(field, primes)
 
-    def outcome(p1, p2):
+    def code(p1, p2):
         if p1 == 23:
             raise ZeroDivisionError("forced at p1 = 23")
-        return outcome_of(p1, p2)
+        return code_of(p1, p2)
 
-    return outcome
+    return outcomes, code
 
 
 def test_worker_path_any_exception_exits_5(capsys, monkeypatch, sweep_workers):
@@ -923,14 +947,14 @@ cli.workers._usable_cpus = lambda: 2
 parent, real = os.getpid(), cli.sweep_oracle
 
 def dying_oracle(field, primes):
-    outcome_of = real(field, primes)
+    outcomes, code_of = real(field, primes)
 
-    def outcome(p1, p2):
+    def code(p1, p2):
         if p1 == 23 and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return outcome_of(p1, p2)
+        return code_of(p1, p2)
 
-    return outcome
+    return outcomes, code
 
 cli.sweep_oracle = dying_oracle
 code = cli.main(["verify", "--field", "cyclotomic:7", "--max-prime", "50", "--format", sys.argv[1]])
@@ -990,16 +1014,16 @@ def test_worker_path_interrupt_stops_workers(sweep_workers):
 
 def _stalling_oracle(field, primes):
     """The real sweep oracle, except that a worker stalls for two minutes on the row of p1 = 3."""
-    outcome_of, parent, stalled = sweep_oracle(field, primes), os.getpid(), False
+    (outcomes, code_of), parent, stalled = sweep_oracle(field, primes), os.getpid(), False
 
-    def outcome(p1, p2):
+    def code(p1, p2):
         nonlocal stalled
         if p1 == 3 and os.getpid() != parent and not stalled:
             stalled = True
             time.sleep(120)
-        return outcome_of(p1, p2)
+        return code_of(p1, p2)
 
-    return outcome
+    return outcomes, code
 
 
 def test_worker_path_closed_report_stops_workers(monkeypatch, sweep_workers):

@@ -127,11 +127,12 @@ def test_sweep_oracle_matches_division_oracle(field):
     primes = primes_up_to(300)
     # Built from the odd primes too: the degree at 2 must count without 2 among the primes.
     for sweep_primes in (primes, primes[1:]):
-        outcome_of = sweep_oracle(field, sweep_primes)
+        outcomes, code_of = sweep_oracle(field, sweep_primes)
+        assert outcomes == (Outcome.DIVISION, Outcome.SPLIT)
         for p1 in sweep_primes:
             for p2 in sweep_primes:
                 if p1 != p2:
-                    assert outcome_of(p1, p2) is division_oracle(field, p1, p2), (field, p1, p2)
+                    assert outcomes[code_of(p1, p2)] is division_oracle(field, p1, p2), (field, p1, p2)
 
 
 def test_invariant_failures_raise(monkeypatch):
@@ -160,5 +161,16 @@ def test_invariant_failures_raise(monkeypatch):
             )
             with pytest.raises(InternalInvariantError):
                 local_degree(Biquadratic(-1, 2), Place(11))
+    finally:
+        local_degree.cache_clear()
+
+
+def test_local_degree_cache_is_bounded():
+    """Point queries that share nothing cannot grow the cache past its bound."""
+    local_degree.cache_clear()
+    try:
+        for p in primes_up_to(20_000)[:1500]:
+            local_degree(Cyclotomic(7), Place(p))
+        assert local_degree.cache_info().currsize <= 1024
     finally:
         local_degree.cache_clear()

@@ -29,6 +29,10 @@ def test_make_quadratic_rejects_bad_d():
         make_quadratic(0)
     with pytest.raises(DisallowedValueError):
         make_quadratic(1)
+    for d in (2**64, -(2**64), 2**64 + 1):
+        with pytest.raises(InvalidInputError):
+            make_quadratic(d)
+    assert make_quadratic(-(2**64 - 1)).d == -(2**64 - 1)  # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
 
 
 def test_discriminant_residues():
