@@ -35,7 +35,6 @@ import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from typing import NamedTuple
 
 from . import arith, cyclotomic, workers
 from .classify import (
@@ -61,9 +60,9 @@ EXIT_INTERNAL = 5
 
 MAX_SWEEP_PRIME = 10_000
 # A verify sweep of fewer pairs (max-prime below about 1,400) runs in this
-# process. Workers pay off in time from about 5,000 pairs, but below 50,000 a
-# sweep takes under about 0.3 s in one process, so they would save a tenth
-# of a second at most, at the cost of a process and ~14 MB per usable CPU.
+# process. Workers pay off in time from about 10,000 pairs, but below 50,000 a
+# sweep takes under about 0.1 s in one process on 2 CPUs, so they would save
+# under 0.05 s, at the cost of a process and ~14 MB per usable CPU.
 WORKER_MIN_PAIRS = 50_000
 
 
@@ -164,33 +163,24 @@ def _cmd_ramification(args: argparse.Namespace) -> int:
 # --- verify ------------------------------------------------------------------
 
 
-class SweepRow(NamedTuple):
-    """One verify row as the reports show it: the fields are the JSON row keys
-    and, after "field", the CSV columns."""
-
-    p1: int
-    p2: int
-    classify: str
-    certainty: str
-    oracle: str
-    agree: bool
-    trace: str
+# The report columns: the JSON row keys and, after "field", the CSV columns.
+_COLUMNS = ("p1", "p2", "classify", "certainty", "oracle", "agree", "trace")
 
 
 class SweepReport:
     """A verify sweep that runs as it is iterated.
 
-    Iterating it runs the pair loop and yields the rows one block per p1, as
-    a list[SweepRow] in ascending p2, so no more than one block is ever held.
-    pairs, agree, disagree and unknown are the tallies of the last iteration
-    that completed: they are set when it completes, and 0 before.
-
     Both sides of the sweep answer in codes: a verdict code indexes the
-    field's verdict table, an oracle code the oracle's outcome table. The
-    (classify, certainty, oracle, agree, trace) cells of each (verdict code,
-    oracle code) pair are built once per iteration, so a row is its primes
-    and the cells of its code pair, and the tallies are counts of code
-    pairs. A sweep of WORKER_MIN_PAIRS pairs or more computes the codes in
+    field's verdict table, an oracle code the oracle's outcome table. cells
+    maps each (verdict code, oracle code) pair to the (classify, certainty,
+    oracle, agree, trace) cells of its rows, so a row is its two primes and
+    a code pair, and the tallies are counts of code pairs.
+
+    Iterating it runs the pair loop and yields one block per p1: (p1, the
+    other primes in ascending order, their code pairs), so no more than one
+    block is ever held. pairs, agree, disagree and unknown are the tallies of
+    the last iteration that completed: they are set when it completes, and 0
+    before. A sweep of WORKER_MIN_PAIRS pairs or more computes the codes in
     forked workers (see the workers module), a smaller one in this process.
     Either way the blocks are built here, from the same codes.
     """
@@ -208,13 +198,22 @@ class SweepReport:
         self.field = field
         self.max_prime = max_prime
         self.pairs = self.agree = self.disagree = self.unknown = 0
+        self.cells = {
+            (v, o): (
+                verdict.outcome.value,
+                verdict.certainty.value,
+                outcome.value,
+                verdict.outcome is outcome,
+                format_trace(verdict),
+            )
+            for v, verdict in enumerate(verdicts)
+            for o, outcome in enumerate(outcomes)
+        }
         self._primes = primes
-        self._verdicts = verdicts
         self._code_of = code_of
-        self._outcomes = outcomes
         self._oracle_of = oracle_of
 
-    def __iter__(self) -> Iterator[list[SweepRow]]:
+    def __iter__(self) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
         primes, code_of, oracle_of = self._primes, self._code_of, self._oracle_of
         n = len(primes)
 
@@ -229,17 +228,6 @@ class SweepReport:
                 bytes(map(partial(oracle_of, p1), primes[i + 1 :])),
             )
 
-        cells = {
-            (v, o): (
-                verdict.outcome.value,
-                verdict.certainty.value,
-                outcome.value,
-                verdict.outcome is outcome,
-                format_trace(verdict),
-            )
-            for v, verdict in enumerate(self._verdicts)
-            for o, outcome in enumerate(self._outcomes)
-        }
         # square[i*n + j] holds the oracle code of (primes[i], primes[j]) for
         # i < j: row i writes its p2 > p1 half as one slice, and reads its
         # p2 < p1 half, column i above the diagonal, as one strided slice.
@@ -252,13 +240,12 @@ class SweepReport:
                 square[i * n + i + 1 : (i + 1) * n] = oracle_codes
                 code_pairs = list(zip(verdict_codes, square[i : i * n : n] + oracle_codes))
                 counts.update(code_pairs)
-                others = primes[:i] + primes[i + 1 :]
-                yield [SweepRow._make((p1, p2) + cells[pair]) for p2, pair in zip(others, code_pairs)]
+                yield p1, primes[:i] + primes[i + 1 :], code_pairs
         finally:
             workers.stop(forked)
         self.pairs = self.agree = self.disagree = self.unknown = 0
         for pair, count in counts.items():
-            outcome, _, _, agree, _ = cells[pair]
+            outcome, _, _, agree, _ = self.cells[pair]
             self.pairs += count
             if outcome == Outcome.UNKNOWN.value:
                 self.unknown += count
@@ -289,21 +276,20 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
 # Each renderer yields the report body in chunks as the report's blocks pass,
 # so a body is never held whole: CSV and JSON one chunk per block, text one
 # chunk at the end, since its summary comes first and it keeps only the counts
-# and its few DISAGREE/UNCOVERED lines.
+# and its few DISAGREE/UNCOVERED lines. Each formats the cells of each code
+# pair once; a row adds only its two primes.
 
 
 def render_report_csv(report: SweepReport) -> Iterator[str]:
-    field = str(report.field)
-    yield _csv_body([("field", *SweepRow._fields)])
-    for block in report:
-        yield _csv_body(
-            (field, p1, p2, outcome, certainty, oracle, "true" if agree else "false", trace)
-            for p1, p2, outcome, certainty, oracle, agree, trace in block
-        )
-
-
-# A row as json.dumps(..., indent=2) lays it out inside "rows".
-_JSON_ROW = "    {\n" + ",\n".join(f'      "{name}": %s' for name in SweepRow._fields) + "\n    }"
+    field = _csv_body([(str(report.field),)])[:-1]  # the field cell, quoted as csv.writer quotes it
+    tails = {
+        pair: _csv_body([(outcome, certainty, oracle, "true" if agree else "false", trace)])
+        for pair, (outcome, certainty, oracle, agree, trace) in report.cells.items()
+    }
+    yield _csv_body([("field", *_COLUMNS)])
+    for p1, others, pairs in report:
+        lead = f"{field},{p1},"
+        yield "".join(f"{lead}{p2},{tails[pair]}" for p2, pair in zip(others, pairs))
 
 
 def render_report_json(report: SweepReport) -> Iterator[str]:
@@ -311,21 +297,20 @@ def render_report_json(report: SweepReport) -> Iterator[str]:
     head = _json_body({"field": str(report.field), "max_prime": report.max_prime, "rows": []})
     # head ends with '  "rows": []\n}\n'; the rows go between the brackets.
     yield head[: -len("]\n}\n")]
-    quoted: dict[str, str] = {}  # the few distinct string cells, each JSON-encoded once
-
-    def q(cell: str) -> str:
-        if cell not in quoted:
-            quoted[cell] = json.dumps(cell, ensure_ascii=False)
-        return quoted[cell]
-
+    # A row as json.dumps(..., indent=2) lays it out inside "rows": its p1 and
+    # p2 lines, then the tail of its code pair.
+    tails = {
+        pair: "".join(
+            f',\n      "{name}": {json.dumps(cell, ensure_ascii=False)}' for name, cell in zip(_COLUMNS[2:], cells)
+        )
+        + "\n    }"
+        for pair, cells in report.cells.items()
+    }
     separator = "\n"
-    for block in report:
-        if block:
-            yield separator + ",\n".join(
-                _JSON_ROW
-                % (p1, p2, q(outcome), q(certainty), q(oracle), "true" if agree else "false", q(trace))
-                for p1, p2, outcome, certainty, oracle, agree, trace in block
-            )
+    for p1, others, pairs in report:
+        if others:
+            lead = f'    {{\n      "p1": {p1},\n      "p2": '
+            yield separator + ",\n".join(f"{lead}{p2}{tails[pair]}" for p2, pair in zip(others, pairs))
             separator = ",\n"
     summary = {"summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown}}
     # '{\n  "summary": ...' continues the payload after its rows.
@@ -334,18 +319,20 @@ def render_report_json(report: SweepReport) -> Iterator[str]:
 
 def render_report_text(report: SweepReport) -> Iterator[str]:
     """The summary, then the DISAGREE and UNCOVERED lines: the only rows kept."""
+    notes = {}  # code pair -> (the line's kind, its text after p2)
+    for pair, (outcome, _, oracle, agree, trace) in report.cells.items():
+        if outcome != "Unknown":
+            if not agree:
+                notes[pair] = ("DISAGREE", f" classify={outcome} oracle={oracle} trace={trace}")
+        elif oracle == "Division":
+            # division algebras the sufficient condition missed (informational)
+            notes[pair] = ("UNCOVERED", " oracle=Division")
     lines = []
-    for block in report:
-        for row in block:
-            if row.classify != "Unknown":
-                if not row.agree:
-                    lines.append(
-                        f"DISAGREE p1={row.p1} p2={row.p2} classify={row.classify} "
-                        f"oracle={row.oracle} trace={row.trace}\n"
-                    )
-            elif row.oracle == "Division":
-                # division algebras the sufficient condition missed (informational)
-                lines.append(f"UNCOVERED p1={row.p1} p2={row.p2} oracle=Division\n")
+    for p1, others, pairs in report:
+        for p2, pair in zip(others, pairs):
+            if pair in notes:
+                kind, tail = notes[pair]
+                lines.append(f"{kind} p1={p1} p2={p2}{tail}\n")
     summary = {
         "field": report.field,
         "max_prime": report.max_prime,

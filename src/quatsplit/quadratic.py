@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from . import arith
 from .errors import DisallowedValueError, InvalidInputError, NonSquarefreeError
@@ -23,10 +24,13 @@ class QuadraticField:
     discriminant: int
 
 
+@lru_cache(maxsize=64)
 def make_quadratic(d: int) -> QuadraticField:
     """Validate d and attach the discriminant: d when d % 4 == 1, else 4d.
 
-    |d| must be below 2**64, which bounds the squarefree check.
+    |d| must be below 2**64, which bounds the squarefree check. Cached, so
+    the classifier and the oracle check each d once, not once per sweep
+    prime; a bad d raises, so only good fields are kept.
     """
     if abs(d) > arith.UINT64_MAX:
         raise InvalidInputError(f"d must be below 2**64 in absolute value, got {d}")

@@ -639,34 +639,53 @@ def test_verify_round_trip(request, field, forked):
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     report = build_sweep_report(field, 60)
     primes = primes_up_to(60)
+    expected = []
+    for p1 in primes:
+        for p2 in primes:
+            if p2 != p1:
+                verdict, oracle_outcome = classify(field, p1, p2), division_oracle(oracle_field, p1, p2)
+                expected.append(
+                    {
+                        "p1": p1,
+                        "p2": p2,
+                        "classify": verdict.outcome.value,
+                        "certainty": verdict.certainty.value,
+                        "oracle": oracle_outcome.value,
+                        "agree": verdict.outcome is oracle_outcome,
+                        "trace": format_trace(verdict),
+                    }
+                )
     blocks = list(report)
-    # one block per p1, each in ascending p2
-    assert [[(row.p1, row.p2) for row in block] for block in blocks] == [
-        [(p1, p2) for p2 in primes if p2 != p1] for p1 in primes
+    # one block per p1: the other primes in ascending order, one code pair each
+    assert [(p1, others) for p1, others, _ in blocks] == [(p1, [p2 for p2 in primes if p2 != p1]) for p1 in primes]
+    assert all(len(pairs) == len(others) for _, others, pairs in blocks)
+    rows = [
+        dict(zip(expected[0], (p1, p2, *report.cells[pair])))
+        for p1, others, pairs in blocks
+        for p2, pair in zip(others, pairs)
     ]
-    rows = [row for block in blocks for row in block]
+    assert rows == expected
+    assert all(type(row["agree"]) is bool for row in rows)
     assert report.pairs == len(rows) == len(primes) * (len(primes) - 1)
-    for row in rows:
-        verdict = classify(field, row.p1, row.p2)
-        assert row.classify == verdict.outcome.value
-        assert row.certainty == verdict.certainty.value
-        assert row.trace == format_trace(verdict)
-        oracle_outcome = division_oracle(oracle_field, row.p1, row.p2)
-        assert row.oracle == oracle_outcome.value
-        assert row.agree is (verdict.outcome is oracle_outcome)
-    assert report.unknown == sum(row.classify == "Unknown" for row in rows)
-    assert report.agree == sum(row.classify != "Unknown" and row.agree for row in rows)
-    assert report.disagree == sum(row.classify != "Unknown" and not row.agree for row in rows)
+    assert report.unknown == sum(row["classify"] == "Unknown" for row in expected)
+    assert report.agree == sum(row["classify"] != "Unknown" and row["agree"] for row in expected)
+    assert report.disagree == sum(row["classify"] != "Unknown" and not row["agree"] for row in expected)
     # the streamed JSON is json.dumps of the whole payload, byte for byte
     payload = {
         "field": str(field),
         "max_prime": 60,
-        "rows": [row._asdict() for row in rows],
+        "rows": expected,
         "summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown},
     }
     assert "".join(render_report_json(report)) == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
-    # rendering is pure, and each iteration starts the tallies again
-    assert "".join(render_report_csv(report)) == "".join(render_report_csv(report))
+    # the streamed CSV is csv.writer's, field cell quoting included; rendering
+    # again is pure, and each iteration starts the tallies again
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["field", *expected[0]])
+    for row in expected:
+        writer.writerow([str(field), *{**row, "agree": "true" if row["agree"] else "false"}.values()])
+    assert "".join(render_report_csv(report)) == buffer.getvalue()
     assert report.pairs == len(rows)
 
 
@@ -686,7 +705,7 @@ def test_verify_validates_each_prime_once(monkeypatch):
     local_degree.cache_clear()
     try:
         # consume the report: its pairs run only as it is iterated
-        rows = sum(len(block) for block in build_sweep_report(Cyclotomic(7), 200))
+        rows = sum(len(others) for _, others, _ in build_sweep_report(Cyclotomic(7), 200))
     finally:
         local_degree.cache_clear()
     n = len(primes_up_to(200))
@@ -723,7 +742,7 @@ def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
     report = build_sweep_report(Cyclotomic(7), 200)
     n = len(primes_up_to(200))
     assert (oracle_calls, classifier_calls) == (0, 0)  # nothing runs before the report is iterated
-    rows = [len(block) for block in report]
+    rows = [len(others) for _, others, _ in report]
     assert rows == [n - 1] * n
     assert report.pairs == n * (n - 1)
     assert oracle_calls == n * (n - 1) // 2
@@ -751,11 +770,40 @@ def test_sweep_factors_the_cyclotomic_modulus_once(monkeypatch, max_prime):
         cache.cache_clear()
     try:
         report = build_sweep_report(Cyclotomic(999999999959), max_prime)
-        assert sum(len(block) for block in report) == report.pairs > 0
+        assert sum(len(others) for _, others, _ in report) == report.pairs > 0
     finally:
         for cache in caches:
             cache.cache_clear()
     assert calls <= 6
+
+
+@pytest.mark.parametrize("field", [Quadratic(1000003), Biquadratic(-1, 1000003)])
+def test_sweep_checks_each_quadratic_d_once(monkeypatch, field):
+    """d, and for a biquadratic field d1, d2 and d1*d2 up to squares, are checked once per
+    field, not once per sweep prime."""
+    import quatsplit.arith as arith_module
+    import quatsplit.quadratic as quadratic_module
+
+    classify_module = importlib.import_module("quatsplit.classify")
+    calls = 0
+    is_squarefree = arith_module.is_squarefree
+
+    def counted(n):
+        nonlocal calls
+        calls += 1
+        return is_squarefree(n)
+
+    monkeypatch.setattr(arith_module, "is_squarefree", counted)
+    caches = (classify_module._resolve, quadratic_module.make_quadratic, local_degree)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        report = build_sweep_report(field, 200)
+        assert sum(len(others) for _, others, _ in report) == report.pairs > 0
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+    assert 0 < calls <= 3
 
 
 def test_sweep_entries_prove_their_primes():
@@ -798,9 +846,10 @@ def test_classify_19_digit_prime_index_exits_promptly(spec):
         (["classify", "--field", "quadratic:1000000000000000003", "--p", "3", "--q", "7"], EXIT_OK),
         (["classify", "--field", "biquadratic:-1,1000000000000000003", "--p", "3", "--q", "7"], EXIT_OK),
         (["verify", "--field", "quadratic:1000000000000000003", "--max-prime", "20"], EXIT_OK),
+        (["verify", "--field", "quadratic:1000000000000000003", "--max-prime", "1000"], EXIT_OK),
         (["classify", "--field", f"quadratic:{2**64}", "--p", "3", "--q", "7"], EXIT_BAD_ARGS),
     ],
-    ids=["classify-quadratic", "classify-biquadratic", "verify-quadratic", "quadratic-2**64"],
+    ids=["classify-quadratic", "classify-biquadratic", "verify-quadratic", "verify-quadratic-1000", "quadratic-2**64"],
 )
 def test_quadratic_d_exits_promptly(argv, code):
     """The squarefree check of d stops trial division at the cube root of d, and |d| >= 2**64 is bad input."""
@@ -1032,7 +1081,8 @@ def test_worker_path_closed_report_stops_workers(monkeypatch, sweep_workers):
 
     monkeypatch.setattr(cli_module, "sweep_oracle", _stalling_oracle)
     blocks = iter(build_sweep_report(Cyclotomic(7), 300))
-    assert [(row.p1, row.p2) for row in next(blocks)][:2] == [(2, 3), (2, 5)]
+    p1, others, _ = next(blocks)
+    assert (p1, others[:2]) == (2, [3, 5])
     start = time.monotonic()
     blocks.close()
     assert time.monotonic() - start < 60
