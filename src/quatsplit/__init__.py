@@ -34,7 +34,7 @@ from .hilbert import (
     ramified_places,
 )
 from .oracle import division_oracle, local_degree
-from .quadratic import QuadraticField, SplittingType, make_quadratic, splitting_type
+from .quadratic import SplittingType, splitting_type
 
 __version__ = "0.1.0"
 
@@ -55,7 +55,6 @@ __all__ = [
     "Outcome",
     "Place",
     "Quadratic",
-    "QuadraticField",
     "RamificationData",
     "SplittingType",
     "TraceStep",
@@ -71,7 +70,6 @@ __all__ = [
     "is_prime",
     "legendre",
     "local_degree",
-    "make_quadratic",
     "primes_up_to",
     "ramified_places",
     "splitting_type",

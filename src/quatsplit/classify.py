@@ -20,18 +20,19 @@ strings asserted by the test suite and rendered by the CLI:
 The "a"/"b" suffixes name the two symmetric branches of the both-odd,
 both ≡ 3 (mod 4) case: "a" checks the symbol condition at p1, "b" at p2.
 
-Every exact verdict comes from one evaluator, Theorem 3.1/3.4 over a tuple
-of quadratic subfield discriminants plus an "every d ≡ 1 (mod 8)" escape
-flag.  The cyclotomic ids above come from one reduction table, which maps
-each canonical n (and l**k) to its subfield and to the ids the paper
-publishes; where a proposition publishes one id for two raw cases of the
-theorem, the two are OR-merged into that one step.  So every field has a
-fixed table of at most seven verdicts (four for n = 5), and the evaluator
-returns an index into it.  There is one decision path: sweep_classifier
-checks the field and the primes once, binds the evaluator to a table of
-which primes split in the subfield and returns it with the verdict table; a
-verify sweep runs it over all its primes, and classify runs it on its own
-pair.
+Every exact verdict comes from one evaluator, Theorem 3.1/3.4 over the
+squarefree d of the quadratic subfields Q(sqrt d) plus an "every d ≡ 1
+(mod 8)" escape flag.  The cyclotomic ids above come from one reduction
+table, which maps each canonical n (and l**k) to its subfield and to the
+ids the paper publishes; where a proposition publishes one id for two raw
+cases of the theorem, the two are OR-merged into that one step.  So every
+field has a fixed table of at most seven verdicts (four for n = 5), and the
+evaluator returns an index into it.  A field descriptor checks itself when
+it is made; only support is decided here.  There is one decision path:
+sweep_classifier resolves the field and proves the primes once, binds the
+evaluator to a table of which primes split in the subfield and returns it
+with the verdict table; a verify sweep runs it over all its primes, and
+classify runs it on its own pair.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ from enum import Enum
 from functools import lru_cache, partial
 from typing import NamedTuple, Union
 
-from . import arith, cyclotomic, quadratic
-from .errors import BadModulusError, EqualPrimesError, InvalidInputError, UnsupportedFieldError
+from . import arith, cyclotomic
+from .errors import BadModulusError, DisallowedValueError, EqualPrimesError, InvalidInputError
+from .errors import NonSquarefreeError, UnsupportedFieldError
 
 
 class Outcome(Enum):
@@ -83,7 +85,22 @@ class Verdict:
 
 @dataclass(frozen=True)
 class Quadratic:
+    """Q(sqrt d) for squarefree d not in {0, 1}, with |d| < 2**64, which bounds the squarefree check."""
+
     d: int
+
+    def __post_init__(self) -> None:
+        if abs(self.d) > arith.UINT64_MAX:
+            raise InvalidInputError(f"d must be below 2**64 in absolute value, got {self.d}")
+        if self.d in (0, 1):
+            raise DisallowedValueError(f"d must not be 0 or 1, got {self.d}")
+        if not arith.is_squarefree(self.d):
+            raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
+
+    @property
+    def discriminant(self) -> int:
+        """The field discriminant: d when d % 4 == 1, else 4d."""
+        return self.d if self.d % 4 == 1 else 4 * self.d
 
     def __str__(self) -> str:
         return f"quadratic:{self.d}"
@@ -91,8 +108,16 @@ class Quadratic:
 
 @dataclass(frozen=True)
 class Biquadratic:
+    """Q(sqrt d1, sqrt d2) for distinct d1, d2, each a valid Quadratic d."""
+
     d1: int
     d2: int
+
+    def __post_init__(self) -> None:
+        Quadratic(self.d1)
+        Quadratic(self.d2)
+        if self.d1 == self.d2:
+            raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {self.d1} twice")
 
     def __str__(self) -> str:
         return f"biquadratic:{self.d1},{self.d2}"
@@ -100,7 +125,14 @@ class Biquadratic:
 
 @dataclass(frozen=True)
 class Cyclotomic:
+    """Q(zeta_n) for 3 <= n < 2**64; n need not be canonical, nor supported by classify."""
+
     n: int
+
+    def __post_init__(self) -> None:
+        if self.n > arith.UINT64_MAX:
+            raise InvalidInputError(f"cyclotomic index must be below 2**64, got {self.n}")
+        cyclotomic.canonical_n(self.n)  # raises for n < 3
 
     def __str__(self) -> str:
         return f"cyclotomic:{self.n}"
@@ -108,8 +140,20 @@ class Cyclotomic:
 
 @dataclass(frozen=True)
 class Kummer:
+    """A Kummer extension of Q(zeta_{l**k}), for a prime l ≡ 3 (mod 4), k >= 1 and l**k < 2**64."""
+
     ell: int
     k: int
+
+    def __post_init__(self) -> None:
+        ell, k = self.ell, self.k
+        if ell < 2 or not arith.is_prime(ell) or ell % 4 != 3:
+            raise BadModulusError(f"need a prime l ≡ 3 (mod 4), got {ell}")
+        if k < 1:
+            raise InvalidInputError(f"exponent k must be >= 1, got {k}")
+        # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
+        if k >= 64 or ell**k > arith.UINT64_MAX:
+            raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
 
     def __str__(self) -> str:
         return f"kummer:{self.ell}^{self.k}"
@@ -127,29 +171,27 @@ FieldDescriptor = Union[Quadratic, Biquadratic, Cyclotomic, Kummer]
 _NONE_ODD, _NONE_TWO = 5, 6
 
 
-def _verdicts(ids: tuple[str, ...], reduction: str | None = None) -> tuple[Verdict, ...]:
+def _verdicts(ids: tuple[str, ...]) -> tuple[Verdict, ...]:
     """The verdict for each index the criterion returns, the five raw cases named by ids.
 
     Raw cases that share an id are OR-merged into one trace step: that is how
-    a proposition that publishes one id for two raw cases keeps its id.  A
-    reduction step, if given, leads every trace.
+    a proposition that publishes one id for two raw cases keeps its id.
     """
-    head = (TraceStep(reduction, True),) if reduction else ()
     odd_labels, two_labels = dict.fromkeys(ids[:3]), dict.fromkeys(ids[3:])
     verdicts = []
     for result in range(7):
         hit = ids[result] if result < 5 else None
         labels = odd_labels if result in (0, 1, 2, _NONE_ODD) else two_labels
-        trace = head + tuple(TraceStep(label, label == hit) for label in labels)
+        trace = tuple(TraceStep(label, label == hit) for label in labels)
         outcome = Outcome.SPLIT if hit is None else Outcome.DIVISION
         verdicts.append(Verdict(outcome=outcome, certainty=Certainty.EXACT, trace=trace))
     return tuple(verdicts)
 
 
-def _splits(discs: tuple[int, ...], p: int) -> bool:
-    """True when the odd prime p splits in every Q(sqrt d) with discriminant in discs."""
-    for disc in discs:
-        if arith.legendre_unchecked(disc, p) != 1:
+def _splits(ds: tuple[int, ...], p: int) -> bool:
+    """True when the odd prime p splits in every Q(sqrt d), d in ds: (d|p) = (disc|p) = 1."""
+    for d in ds:
+        if arith.legendre_unchecked(d, p) != 1:
             return False
     return True
 
@@ -208,10 +250,10 @@ def _n5_verdicts() -> tuple[Verdict, ...]:
 
 
 class _Row(NamedTuple):
-    """How one field decides: verdicts[rule(split, escape, p1, p2)] over the subfield discs."""
+    """How one field decides: verdicts[rule(split, escape, p1, p2)] over the subfields Q(sqrt d), d in ds."""
 
     rule: Callable[..., int]
-    discs: tuple[int, ...]
+    ds: tuple[int, ...]
     escape: bool
     verdicts: tuple[Verdict, ...]
 
@@ -228,6 +270,16 @@ _THM31 = _verdicts(_THM31_IDS)
 _THM34 = _verdicts(_THM34_IDS)
 _PROP41 = _verdicts(_prop_ids("prop4.1"))
 
+
+def _reduced(label: str, row: _Row) -> _Row:
+    """row with the reduction step label put first on every verdict."""
+    verdicts = tuple(
+        Verdict(outcome=v.outcome, certainty=v.certainty, trace=(TraceStep(label, True),) + v.trace)
+        for v in row.verdicts
+    )
+    return row._replace(verdicts=verdicts)
+
+
 # The reduction table: canonical n -> the quadratic or biquadratic subfield of
 # Q(zeta_n) whose criterion decides H(p1, p2), and the ids the paper publishes
 # for it.  Props 3.5 and 3.8 publish fewer ids because splitting in
@@ -235,14 +287,14 @@ _PROP41 = _verdicts(_prop_ids("prop4.1"))
 # case1 and, for n = 12, case2 with p ≡ 5 (mod 8) can fire there.  n = 5 has
 # only the sufficient condition of Prop 3.9.
 _CYCLOTOMIC = {
-    3: _Row(_criterion, (-3,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ3)→Q(√-3)")),
-    4: _Row(_criterion, (-4,), False, _verdicts(_THM31_IDS, "reduction/Q(ζ4)→Q(i)")),
+    3: _reduced("reduction/Q(ζ3)→Q(√-3)", _Row(_criterion, (-3,), False, _THM31)),
+    4: _reduced("reduction/Q(ζ4)→Q(i)", _Row(_criterion, (-1,), False, _THM31)),
     5: _Row(_n5_criterion, (), False, _n5_verdicts()),
     7: _Row(_criterion, (-7,), True, _verdicts(_prop_ids("prop3.3", case3a="case3", case3b="case3"))),
-    8: _Row(_criterion, (-4, 8), False, _verdicts(("prop3.5/main",) * 5)),
+    8: _Row(_criterion, (-1, 2), False, _verdicts(("prop3.5/main",) * 5)),
     9: _Row(_criterion, (-3,), False, _verdicts(_prop_ids("prop3.6"))),
     11: _Row(_criterion, (-11,), False, _verdicts(_prop_ids("prop3.7"))),
-    12: _Row(_criterion, (-4, -3), False, _verdicts(_prop_ids("prop3.8", case3a="case1", case3b="case1"))),
+    12: _Row(_criterion, (-1, -3), False, _verdicts(_prop_ids("prop3.8", case3a="case1", case3b="case1"))),
 }
 
 
@@ -260,46 +312,25 @@ def _cyclotomic_row(m: int) -> _Row:
     return _Row(_criterion, (-ell,), ell % 8 == 7, _PROP41)
 
 
-def _reduced(label: str, row: _Row) -> _Row:
-    """row with the reduction step label put first on every verdict."""
-    verdicts = tuple(
-        Verdict(outcome=v.outcome, certainty=v.certainty, trace=(TraceStep(label, True),) + v.trace)
-        for v in row.verdicts
-    )
-    return row._replace(verdicts=verdicts)
-
-
 # --- public entry points ------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
 def _resolve(field: FieldDescriptor) -> _Row:
-    """Check field; its row, with the reduction steps of Kummer and non-canonical n on the verdicts.
+    """field's row, with the reduction steps of Kummer and non-canonical n on the verdicts.
 
-    Cached: descriptors are frozen, and a bad field raises, so only good rows are kept.
+    Cached: descriptors are frozen, and an unsupported field raises, so only rows are kept.
     """
     match field:
         case Quadratic(d):
-            return _Row(_criterion, (quadratic.make_quadratic(d).discriminant,), d % 8 == 1, _THM31)
+            return _Row(_criterion, (d,), d % 8 == 1, _THM31)
         case Biquadratic(d1, d2):
-            discs = (quadratic.make_quadratic(d1).discriminant, quadratic.make_quadratic(d2).discriminant)
-            if d1 == d2:
-                raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
-            return _Row(_criterion, discs, d1 % 8 == 1 and d2 % 8 == 1, _THM34)
+            return _Row(_criterion, (d1, d2), d1 % 8 == 1 and d2 % 8 == 1, _THM34)
         case Cyclotomic(n):
-            if n > arith.UINT64_MAX:
-                raise InvalidInputError(f"cyclotomic index must be below 2**64, got {n}")
             m = cyclotomic.canonical_n(n)
             row = _cyclotomic_row(m)
             return row if m == n else _reduced(f"reduction/n{n}→n{m}", row)
         case Kummer(ell, k):
-            if ell < 2 or not arith.is_prime(ell) or ell % 4 != 3:
-                raise BadModulusError(f"need a prime l ≡ 3 (mod 4), got {ell}")
-            if k < 1:
-                raise InvalidInputError(f"exponent k must be >= 1, got {k}")
-            # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
-            if k >= 64 or ell**k > arith.UINT64_MAX:
-                raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
             return _reduced(f"reduction/kummer({ell}^{k})→cyclotomic({ell**k})", _resolve(Cyclotomic(ell**k)))
     raise UnsupportedFieldError(f"unrecognized field descriptor: {field!r}")
 
@@ -311,23 +342,23 @@ def sweep_classifier(
     for distinct p1, p2 taken from primes.
 
     verdicts is the field's fixed table of at most seven verdicts.  The field
-    is checked and resolved, and every prime is proved prime, once here
-    instead of per pair.  Whether each prime splits in the field's subfield
-    is tabulated, and the reduction steps are on the verdicts up front, so a
+    is resolved (an unsupported one raises), and every prime is proved
+    prime, once here instead of per pair.  Whether each prime splits in the
+    field's subfield is tabulated, and the reduction steps are on the verdicts up front, so a
     pair costs one symbol (p1|p2) and lookups.  code_of trusts its arguments.
     """
     row = _resolve(field)
     for p in primes:
         arith.require_prime(p)
-    split = frozenset(p for p in primes if p != 2 and _splits(row.discs, p))
+    split = frozenset(p for p in primes if p != 2 and _splits(row.ds, p))
     return row.verdicts, partial(row.rule, split.__contains__, row.escape)
 
 
 def classify(field: FieldDescriptor, p1: int, p2: int) -> Verdict:
     """The decision for H(p1, p2) over field: sweep_classifier run on the one pair.
 
-    The field is checked before the primes, then p1 and p2 are proved
-    distinct primes.
+    An unsupported field raises before the primes are looked at, then p1
+    and p2 are proved distinct primes.
     """
     verdicts, code_of = sweep_classifier(field, (p1, p2))
     if p1 == p2:

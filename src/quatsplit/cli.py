@@ -66,29 +66,37 @@ MAX_SWEEP_PRIME = 10_000
 WORKER_MIN_PAIRS = 50_000
 
 
+_FIELD_KINDS = {"quadratic": Quadratic, "biquadratic": Biquadratic, "cyclotomic": Cyclotomic, "kummer": Kummer}
+# The separator between the two parameters of the kinds that take two.
+_SEPARATORS = {"biquadratic": ",", "kummer": "^"}
+
+
 def parse_field_spec(text: str) -> FieldDescriptor:
-    """Grammar: quadratic:<d> | biquadratic:<d1>,<d2> | cyclotomic:<n> | kummer:<l>^<k>."""
+    """Grammar: quadratic:<d> | biquadratic:<d1>,<d2> | cyclotomic:<n> | kummer:<l>^<k>.
+
+    A cyclotomic n is canonicalized. The descriptor, made after the parse,
+    checks itself, and its errors pass as they are: a BadModulusError stays
+    exit 3.
+    """
     kind, sep, rest = text.partition(":")
     if not sep:
         raise InvalidInputError(f"field spec needs a kind prefix, got '{text}'")
+    make, separator = _FIELD_KINDS.get(kind), _SEPARATORS.get(kind)
+    if make is None:
+        raise InvalidInputError(f"unknown field kind '{kind}' in '{text}'")
     try:
-        if kind == "quadratic":
-            return Quadratic(int(rest))
-        if kind == "biquadratic":
-            first, comma, second = rest.partition(",")
-            if not comma:
+        if separator:
+            first, found, second = rest.partition(separator)
+            if not found:
                 raise ValueError
-            return Biquadratic(int(first), int(second))
-        if kind == "cyclotomic":
-            return Cyclotomic(cyclotomic.canonical_n(int(rest)))
-        if kind == "kummer":
-            base, caret, exponent = rest.partition("^")
-            if not caret:
-                raise ValueError
-            return Kummer(int(base), int(exponent))
+            params = (int(first), int(second))
+        else:
+            params = (int(rest),)
+        if make is Cyclotomic:
+            params = (cyclotomic.canonical_n(*params),)
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse field spec '{text}'") from exc
-    raise InvalidInputError(f"unknown field kind '{kind}' in '{text}'")
+    return make(*params)
 
 
 def format_trace(verdict: Verdict) -> str:
@@ -258,15 +266,14 @@ class SweepReport:
 def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     """Compare classifier and oracle on every ordered pair of distinct primes.
 
-    The field is checked and each prime proved prime once, by the sweep
-    entries of the classifier and of the oracle, before this returns: a bad
-    field fails here, before any output exists. The pair loop then runs on
+    Each prime is proved prime once, by the sweep entries of the classifier
+    and of the oracle, before this returns, and an unsupported field fails
+    here, before any output exists. The pair loop then runs on
     their per-prime tables as the returned report is iterated. For Kummer
     fields the oracle runs over Q(zeta_{l**k}): the radical layer has odd
     degree, so the division/split answer transfers unchanged.
     """
     primes = arith.primes_up_to(max_prime)
-    # The classifier checks the field first, Kummer's l**k < 2**64 bound included.
     verdicts, code_of = sweep_classifier(field, primes)
     oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
     outcomes, oracle_of = sweep_oracle(oracle_field, primes)

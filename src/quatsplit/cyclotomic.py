@@ -30,11 +30,6 @@ def canonical_n(n: int) -> int:
     return n // 2 if n % 4 == 2 else n
 
 
-def _require_canonical(n: int) -> None:
-    if n < 3 or n % 4 == 2:
-        raise InvalidInputError(f"expected a canonical cyclotomic index, got {n} (see canonical_n)")
-
-
 def factorization_shape(p: int, n: int) -> FactorizationShape:
     """Shape of p Z[zeta_n] = (P_1 ... P_g)**e with residual degree f.
 
@@ -44,7 +39,8 @@ def factorization_shape(p: int, n: int) -> FactorizationShape:
     m <= 2).  In all cases e * f * g = phi(n).
     """
     arith.require_prime(p)
-    _require_canonical(n)
+    if n < 3 or n % 4 == 2:
+        raise InvalidInputError(f"expected a canonical cyclotomic index, got {n} (see canonical_n)")
     return factorization_shape_unchecked(p, n)
 
 
@@ -66,8 +62,14 @@ def _unit_group(m: int) -> tuple[int, tuple[int, ...]]:
 
     A field n meets at most 1 + omega(n) <= 16 moduli m (n with one prime
     part removed), so a sweep factors each of them once instead of once per
-    prime.
+    prime.  A prime power m = l**k below 2**64 is found without trial
+    division, and phi(m) = l**(k-1) * (l - 1), so only l - 1 is factored.
     """
-    phi = arith.euler_phi(m)
-    return phi, tuple(q for q, _ in arith.factorize(phi))
-
+    power = arith.prime_power(m) if m <= arith.UINT64_MAX else None
+    if power is None:
+        phi = arith.euler_phi(m)
+        return phi, tuple(q for q, _ in arith.factorize(phi))
+    ell, k = power
+    # Every prime of l - 1 is below l, so the primes stay ascending.
+    primes = tuple(q for q, _ in arith.factorize(ell - 1)) + ((ell,) if k > 1 else ())
+    return ell ** (k - 1) * (ell - 1), primes

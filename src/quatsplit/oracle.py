@@ -27,6 +27,9 @@ from .errors import InternalInvariantError, UnsupportedFieldError
 from .hilbert import Place, prime_pair_symbols, ramified_places
 
 
+_SPLIT = quadratic.SplittingType.SPLIT
+
+
 @lru_cache(maxsize=1024)
 def local_degree(field: FieldDescriptor, place: Place) -> int:
     """Degree over Q_v of the completion of K above the place v.
@@ -36,57 +39,37 @@ def local_degree(field: FieldDescriptor, place: Place) -> int:
     2 iff d < 0.  Biquadratic: 1, 2 or 4 by how many of the three quadratic
     subfields v splits in.  Kummer fields are not supported: their local
     degrees depend on the radicand, which is deliberately not modeled.
-    The place has proved its prime, so the splitting data is not re-checked.
+    The field checked itself when it was made and the place has proved its
+    prime, so neither is checked again here.
     """
     match field:
         case Quadratic(d):
-            return _quadratic_degree(d, place)
+            if place.prime is None:
+                return 2 if d < 0 else 1
+            return 1 if quadratic.splitting_type_unchecked(place.prime, d) is _SPLIT else 2
         case Biquadratic(d1, d2):
-            return _biquadratic_degree(d1, d2, place)
+            if place.prime is None:
+                return 2 if (d1 < 0 or d2 < 0) else 1
+            # The third subfield is Q(sqrt d1*d2), and d1*d2 = g**2 * (d1/g) * (d2/g)
+            # with coprime squarefree factors, so nothing needs factoring or checking.
+            g = math.gcd(d1, d2)
+            ds = (d1, d2, (d1 // g) * (d2 // g))
+            split_count = sum(quadratic.splitting_type_unchecked(place.prime, d) is _SPLIT for d in ds)
+            # Splitting in two of the three subfields forces the third.
+            if split_count == 2:
+                raise InternalInvariantError(f"inconsistent splitting at {place} in Q(sqrt {d1}, sqrt {d2})")
+            return {3: 1, 1: 2, 0: 4}[split_count]
         case Cyclotomic(n):
-            return _cyclotomic_degree(n, place)
+            if place.prime is None:
+                return 2
+            shape = cyclotomic.factorization_shape_unchecked(place.prime, cyclotomic.canonical_n(n))
+            return shape.e * shape.f
         case Kummer(ell, k):
             raise UnsupportedFieldError(
                 f"Kummer local degrees depend on the radicand; use cyclotomic:{ell**k}, "
                 "which decides division the same way"
             )
     raise UnsupportedFieldError(f"no local degrees for {field}")
-
-
-def _quadratic_degree(d: int, place: Place) -> int:
-    if place.prime is None:
-        return 2 if d < 0 else 1
-    field = quadratic.make_quadratic(d)
-    split = quadratic.splitting_type_unchecked(place.prime, field) is quadratic.SplittingType.SPLIT
-    return 1 if split else 2
-
-
-def _biquadratic_degree(d1: int, d2: int, place: Place) -> int:
-    if d1 == d2:
-        raise UnsupportedFieldError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
-    if place.prime is None:
-        return 2 if (d1 < 0 or d2 < 0) else 1
-    # The third subfield is Q(sqrt d1*d2), and d1*d2 = g**2 * (d1/g) * (d2/g)
-    # with coprime squarefree factors, so nothing needs factoring.
-    g = math.gcd(d1, d2)
-    d3 = (d1 // g) * (d2 // g)
-    split_count = sum(
-        1
-        for d in (d1, d2, d3)
-        if quadratic.splitting_type_unchecked(place.prime, quadratic.make_quadratic(d))
-        is quadratic.SplittingType.SPLIT
-    )
-    # Splitting in two of the three subfields forces the third.
-    if split_count == 2:
-        raise InternalInvariantError(f"inconsistent splitting at {place} in Q(sqrt {d1}, sqrt {d2})")
-    return {3: 1, 1: 2, 0: 4}[split_count]
-
-
-def _cyclotomic_degree(n: int, place: Place) -> int:
-    if place.prime is None:
-        return 2
-    shape = cyclotomic.factorization_shape_unchecked(place.prime, cyclotomic.canonical_n(n))
-    return shape.e * shape.f
 
 
 def division_oracle(field: FieldDescriptor, p1: int, p2: int) -> Outcome:

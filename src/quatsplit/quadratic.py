@@ -1,13 +1,14 @@
-"""Quadratic fields Q(sqrt(d)): discriminants and rational-prime splitting."""
+"""How rational primes split in Q(sqrt(d)), given as the classify.Quadratic descriptor."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import arith
-from .errors import DisallowedValueError, InvalidInputError, NonSquarefreeError
+
+if TYPE_CHECKING:
+    from .classify import Quadratic
 
 
 class SplittingType(Enum):
@@ -16,33 +17,7 @@ class SplittingType(Enum):
     INERT = "Inert"
 
 
-@dataclass(frozen=True)
-class QuadraticField:
-    """Q(sqrt(d)) for squarefree d not in {0, 1}, with its field discriminant."""
-
-    d: int
-    discriminant: int
-
-
-@lru_cache(maxsize=64)
-def make_quadratic(d: int) -> QuadraticField:
-    """Validate d and attach the discriminant: d when d % 4 == 1, else 4d.
-
-    |d| must be below 2**64, which bounds the squarefree check. Cached, so
-    the classifier and the oracle check each d once, not once per sweep
-    prime; a bad d raises, so only good fields are kept.
-    """
-    if abs(d) > arith.UINT64_MAX:
-        raise InvalidInputError(f"d must be below 2**64 in absolute value, got {d}")
-    if d in (0, 1):
-        raise DisallowedValueError(f"d must not be 0 or 1, got {d}")
-    if not arith.is_squarefree(d):
-        raise NonSquarefreeError(f"d must be squarefree, got {d}")
-    disc = d if d % 4 == 1 else 4 * d
-    return QuadraticField(d=d, discriminant=disc)
-
-
-def splitting_type(p: int, field: QuadraticField) -> SplittingType:
+def splitting_type(p: int, field: Quadratic) -> SplittingType:
     """How the rational prime p factors in the ring of integers of Q(sqrt(d)).
 
     Odd p: ramified iff p divides the discriminant, split iff the Legendre
@@ -50,16 +25,20 @@ def splitting_type(p: int, field: QuadraticField) -> SplittingType:
     d % 4 in {2, 3}, split for d % 8 == 1, inert for d % 8 == 5.
     """
     arith.require_prime(p)
-    return splitting_type_unchecked(p, field)
+    return splitting_type_unchecked(p, field.d)
 
 
-def splitting_type_unchecked(p: int, field: QuadraticField) -> SplittingType:
-    """splitting_type(p, field) for a p that the caller has already proved prime."""
+def splitting_type_unchecked(p: int, d: int) -> SplittingType:
+    """splitting_type(p, Quadratic(d)) for a prime p and a squarefree d not in {0, 1}
+    that the caller vouches for; d may be 2**64 or more.
+
+    For odd p, (disc|p) = (d|p), since disc is d or 4d, so d is read as it is.
+    """
     if p == 2:
-        if field.d % 4 in (2, 3):
+        if d % 4 in (2, 3):
             return SplittingType.RAMIFIED
-        return SplittingType.SPLIT if field.d % 8 == 1 else SplittingType.INERT
-    symbol = arith.legendre_unchecked(field.discriminant, p)
+        return SplittingType.SPLIT if d % 8 == 1 else SplittingType.INERT
+    symbol = arith.legendre_unchecked(d, p)
     if symbol == 0:
         return SplittingType.RAMIFIED
     return SplittingType.SPLIT if symbol == 1 else SplittingType.INERT

@@ -221,6 +221,23 @@ def test_unsupported_cyclotomic_indices():
     assert classify(Cyclotomic(49), 7, 3).certainty is Certainty.EXACT
 
 
+def test_descriptors_check_themselves_when_made():
+    """A bad field raises when its descriptor is made, before any entry point sees it."""
+    with pytest.raises(InvalidInputError, match="below 2\\*\\*64"):
+        Cyclotomic(2**89 - 1)
+    with pytest.raises(InvalidInputError, match="below 2\\*\\*64"):
+        Cyclotomic(2**64)
+    with pytest.raises(InvalidInputError, match="below 2\\*\\*64") as info:
+        Kummer(3, 41)
+    assert not isinstance(info.value, BadModulusError)
+    with pytest.raises(InvalidInputError, match="distinct") as info:
+        Biquadratic(5, 5)
+    assert not isinstance(info.value, NonSquarefreeError)
+    # Support is classify's question: Q(zeta_13) is a valid field that it refuses.
+    with pytest.raises(UnsupportedFieldError):
+        classify(Cyclotomic(13), 7, 3)
+
+
 def test_input_validation():
     with pytest.raises(EqualPrimesError):
         classify(Cyclotomic(7), 3, 3)

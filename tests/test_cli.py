@@ -130,12 +130,12 @@ BAD_FIELD_EXIT_CODES = {
 @pytest.mark.parametrize("primes", [(4, 3), (3, 3)], ids=["non-prime", "repeated"])
 @pytest.mark.parametrize("spec", BAD_FIELD_EXIT_CODES)
 def test_field_checked_before_primes(capsys, spec, primes):
-    """A bad field fails as it does with good primes, whatever is wrong with the primes."""
-    field = parse_field_spec(spec)
+    """A bad field fails as it does with good primes, whatever is wrong with the primes:
+    an invalid one when its spec is parsed, a valid but unsupported one in classify."""
     with pytest.raises((InvalidInputError, UnsupportedFieldError)) as field_error:
-        classify(field, 7, 3)
+        classify(parse_field_spec(spec), 7, 3)
     with pytest.raises((InvalidInputError, UnsupportedFieldError)) as error:
-        classify(field, *primes)
+        classify(parse_field_spec(spec), *primes)
     assert type(error.value) is type(field_error.value)
     assert str(error.value) == str(field_error.value)
     p, q = map(str, primes)
@@ -777,12 +777,11 @@ def test_sweep_factors_the_cyclotomic_modulus_once(monkeypatch, max_prime):
     assert calls <= 6
 
 
-@pytest.mark.parametrize("field", [Quadratic(1000003), Biquadratic(-1, 1000003)])
+@pytest.mark.parametrize("field", [(Quadratic, 1000003), (Biquadratic, -1, 1000003)])
 def test_sweep_checks_each_quadratic_d_once(monkeypatch, field):
-    """d, and for a biquadratic field d1, d2 and d1*d2 up to squares, are checked once per
-    field, not once per sweep prime."""
+    """d, or a biquadratic field's d1 and d2, are checked once, when the field is made, and
+    not again per sweep prime; d1*d2 up to squares is squarefree by construction."""
     import quatsplit.arith as arith_module
-    import quatsplit.quadratic as quadratic_module
 
     classify_module = importlib.import_module("quatsplit.classify")
     calls = 0
@@ -794,11 +793,12 @@ def test_sweep_checks_each_quadratic_d_once(monkeypatch, field):
         return is_squarefree(n)
 
     monkeypatch.setattr(arith_module, "is_squarefree", counted)
-    caches = (classify_module._resolve, quadratic_module.make_quadratic, local_degree)
+    caches = (classify_module._resolve, local_degree)
     for cache in caches:
         cache.cache_clear()
+    kind, *params = field
     try:
-        report = build_sweep_report(field, 200)
+        report = build_sweep_report(kind(*params), 200)
         assert sum(len(others) for _, others, _ in report) == report.pairs > 0
     finally:
         for cache in caches:
@@ -848,11 +848,23 @@ def test_classify_19_digit_prime_index_exits_promptly(spec):
         (["verify", "--field", "quadratic:1000000000000000003", "--max-prime", "20"], EXIT_OK),
         (["verify", "--field", "quadratic:1000000000000000003", "--max-prime", "1000"], EXIT_OK),
         (["classify", "--field", f"quadratic:{2**64}", "--p", "3", "--q", "7"], EXIT_BAD_ARGS),
+        (["verify", "--field", "biquadratic:1000000000000000003,1000000000000000009", "--max-prime", "20"], EXIT_OK),
     ],
-    ids=["classify-quadratic", "classify-biquadratic", "verify-quadratic", "verify-quadratic-1000", "quadratic-2**64"],
+    ids=[
+        "classify-quadratic",
+        "classify-biquadratic",
+        "verify-quadratic",
+        "verify-quadratic-1000",
+        "quadratic-2**64",
+        "verify-biquadratic",
+    ],
 )
 def test_quadratic_d_exits_promptly(argv, code):
-    """The squarefree check of d stops trial division at the cube root of d, and |d| >= 2**64 is bad input."""
+    """The squarefree check of d stops trial division at the cube root of d, and |d| >= 2**64 is bad input.
+
+    Only the d typed are checked: the third subfield of a biquadratic field,
+    here d1*d2 above 2**64, is squarefree by construction.
+    """
     result = subprocess.run(
         [sys.executable, "-m", "quatsplit", *argv],
         capture_output=True,
@@ -863,6 +875,8 @@ def test_quadratic_d_exits_promptly(argv, code):
     assert result.returncode == code, result.stderr
     if code == EXIT_BAD_ARGS:
         assert result.stderr.startswith("error: d must be below 2**64")
+    if argv[-2:] == ["--max-prime", "20"]:
+        assert "pairs: 56\nagree: 56\n" in result.stdout
 
 
 @pytest.mark.parametrize("command", ["classify", "verify"])
@@ -880,9 +894,18 @@ def test_cyclotomic_index_of_2_64_or_more_exits_promptly(command):
     assert result.stderr.startswith("error: cyclotomic index must be below 2**64")
 
 
-@pytest.mark.parametrize("spec", ["cyclotomic:999999999959", "kummer:999999999959^1"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "cyclotomic:999999999959",
+        "kummer:999999999959^1",
+        "cyclotomic:1000000000000000003",
+        "kummer:1000000000000000003^1",
+    ],
+)
 def test_verify_large_cyclotomic_index_exits_promptly(spec):
-    """Local degrees need the order of p mod n, which must not step through ~n powers of p."""
+    """Local degrees need the order of p mod n, which must not step through ~n powers of p,
+    nor trial-divide a prime-power n or its totient: for n = l**k only l - 1 is factored."""
     result = subprocess.run(
         [sys.executable, "-m", "quatsplit", "verify", "--field", spec, "--max-prime", "20"],
         capture_output=True,

@@ -5,7 +5,8 @@ import pytest
 from quatsplit.arith import euler_phi, primes_up_to
 from quatsplit.cyclotomic import canonical_n, factorization_shape
 from quatsplit.errors import InvalidInputError
-from quatsplit.quadratic import SplittingType, make_quadratic, splitting_type
+from quatsplit.classify import Quadratic
+from quatsplit.quadratic import SplittingType, splitting_type
 
 
 def brute_order(a: int, n: int) -> int:
@@ -87,7 +88,7 @@ def test_tower_consistency_with_quadratic_subfield():
     subfield Q(sqrt(+-l)) sitting inside it (+l for l ≡ 1, -l for l ≡ 3 mod 4)."""
     primes = primes_up_to(1000)
     for ell in (3, 5, 7, 11, 19, 23):
-        field = make_quadratic(ell if ell % 4 == 1 else -ell)
+        field = Quadratic(ell if ell % 4 == 1 else -ell)
         for p in primes:
             shape = factorization_shape(p, ell)
             if shape.e == 1 and shape.f == 1:

@@ -68,6 +68,16 @@ def test_division_oracle_pinned():
     assert division_oracle(Quadratic(-3), 5, 2) is Outcome.SPLIT
 
 
+def test_oracle_trusts_the_biquadratic_third_subfield():
+    """Q(sqrt d1*d2) is not re-checked, so d1*d2 may pass 2**64 when d1 and d2 do not."""
+    field = Biquadratic(10**18 + 3, 10**18 + 9)
+    pairs = [(2, 3), (2, 5), (3, 5), (3, 7), (7, 3), (11, 13), (13, 2)]
+    outcomes = {division_oracle(field, p1, p2) for p1, p2 in pairs}
+    assert outcomes == {Outcome.DIVISION, Outcome.SPLIT}
+    for p1, p2 in pairs:
+        assert division_oracle(field, p1, p2) is classify(field, p1, p2).outcome, (p1, p2)
+
+
 def test_division_oracle_validates_primes():
     with pytest.raises(EqualPrimesError):
         division_oracle(Cyclotomic(7), 3, 3)
@@ -157,7 +167,7 @@ def test_invariant_failures_raise(monkeypatch):
             # 11 split in Q(i) and Q(sqrt 2) but not in Q(sqrt -2): impossible
             split, inert = quadratic_module.SplittingType.SPLIT, quadratic_module.SplittingType.INERT
             patch.setattr(
-                quadratic_module, "splitting_type_unchecked", lambda p, field: inert if field.d == -2 else split
+                quadratic_module, "splitting_type_unchecked", lambda p, d: inert if d == -2 else split
             )
             with pytest.raises(InternalInvariantError):
                 local_degree(Biquadratic(-1, 2), Place(11))
