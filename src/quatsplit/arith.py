@@ -8,6 +8,7 @@ non-issue beyond that.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Iterable
 
 from .errors import EqualPrimesError, InvalidInputError
@@ -98,7 +99,14 @@ def legendre_unchecked(a: int, p: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 by trial division, ascending primes."""
+    """Prime factorization of n >= 1, ascending primes; bounded time for n < 2**64.
+
+    Trial division by 2, 3 and 6k +- 1 runs while f*f <= min(n, 2**32), so
+    below 2**32 it is all there is.  A cofactor n >= f*f left after it has
+    no prime below 2**16, so at most three prime factors, which
+    _prime_factors finds.  A cofactor of 2**64 or more is beyond is_prime,
+    which raises InvalidInputError.
+    """
     if n < 1:
         raise InvalidInputError(f"factorize expects n >= 1, got {n}")
     factors = []
@@ -109,8 +117,9 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 n //= p
                 e += 1
             factors.append((p, e))
+    limit = n if n < 2**32 else 2**32
     f = 5
-    while f * f <= n:
+    while f * f <= limit:
         for p in (f, f + 2):
             if n % p == 0:
                 e = 0
@@ -118,27 +127,37 @@ def factorize(n: int) -> list[tuple[int, int]]:
                     n //= p
                     e += 1
                 factors.append((p, e))
+                limit = n if n < 2**32 else 2**32
         f += 6
-    if n > 1:
+    if n >= f * f:
+        factors += sorted(Counter(_prime_factors(n)).items())
+    elif n > 1:
         factors.append((n, 1))
     return factors
 
 
-def prime_power(n: int) -> tuple[int, int] | None:
-    """(l, k) with n = l**k, l prime and k >= 1, or None; for 0 <= n < 2**64.
+def _prime_factors(n: int) -> list[int]:
+    """The primes of n > 1 with multiplicity, for n < 2**64 with no prime below 2**16.
 
-    No trial division: n is tried as a k-th power for each k below its bit
-    length.  A float k-th root of n < 2**64 with k >= 2 is below 2**32 and
-    off by less than 10**-4, so rounding it finds the integer root whenever
-    there is one, and the check root**k == n is exact.
+    is_prime proves a prime n.  A composite one is split by Pollard's rho
+    with Floyd's cycle test (Cohen, A Course in Computational Algebraic
+    Number Theory, 8.5): the walk x -> x*x + c mod n repeats mod a prime q
+    of n after about sqrt(q) <= 2**16 steps.  A walk that repeats mod n at
+    the same time finds no factor, and the next c is tried.
     """
     if is_prime(n):
-        return n, 1
-    for k in range(2, n.bit_length()):
-        root = round(n ** (1 / k))
-        if root**k == n and is_prime(root):
-            return root, k
-    return None
+        return [n]
+    c, d = 0, n
+    while d == n:
+        c += 1
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = math.gcd(x - y, n)
+    return _prime_factors(d) + _prime_factors(n // d)
 
 
 def euler_phi(n: int) -> int:
@@ -162,33 +181,6 @@ def order_dividing(a: int, n: int, f: int, primes: Iterable[int]) -> int:
         while f % q == 0 and pow(a, f // q, n) == 1:
             f //= q
     return f
-
-
-def is_squarefree(n: int) -> bool:
-    """True when no square > 1 divides n (sign ignored, n nonzero).
-
-    Trial division runs only while f**3 <= the cofactor m left.  Then every
-    prime of m is at least f, so m has at most two prime factors, and it is
-    squarefree unless it is the square of a prime.  That is at most about
-    |n|**(1/3) / 3 divisions: under a second below 2**64.
-    """
-    if n == 0:
-        raise InvalidInputError("0 is not a valid squarefree candidate")
-    m = abs(n)
-    for p in (2, 3):
-        if m % (p * p) == 0:
-            return False
-        if m % p == 0:
-            m //= p
-    f = 5
-    while f * f * f <= m:
-        for p in (f, f + 2):
-            if m % p == 0:
-                m //= p
-                if m % p == 0:
-                    return False
-        f += 6
-    return m == 1 or math.isqrt(m) ** 2 != m
 
 
 def primes_up_to(n: int) -> list[int]:

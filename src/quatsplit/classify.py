@@ -94,13 +94,8 @@ class Quadratic:
             raise InvalidInputError(f"d must be below 2**64 in absolute value, got {self.d}")
         if self.d in (0, 1):
             raise DisallowedValueError(f"d must not be 0 or 1, got {self.d}")
-        if not arith.is_squarefree(self.d):
+        if any(e > 1 for _, e in arith.factorize(abs(self.d))):
             raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
-
-    @property
-    def discriminant(self) -> int:
-        """The field discriminant: d when d % 4 == 1, else 4d."""
-        return self.d if self.d % 4 == 1 else 4 * self.d
 
     def __str__(self) -> str:
         return f"quadratic:{self.d}"
@@ -303,12 +298,12 @@ def _cyclotomic_row(m: int) -> _Row:
     row = _CYCLOTOMIC.get(m)
     if row is not None:
         return row
-    power = arith.prime_power(m)
-    if power is None or power[0] % 4 != 3:
+    factors = arith.factorize(m)
+    ell = factors[0][0]
+    if len(factors) > 1 or ell % 4 != 3:
         raise UnsupportedFieldError(
             f"no criterion for cyclotomic n = {m}; supported: 3-12 and prime powers l**k with l ≡ 3 (mod 4)"
         )
-    ell = power[0]
     return _Row(_criterion, (-ell,), ell % 8 == 7, _PROP41)
 
 

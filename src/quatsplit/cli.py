@@ -74,9 +74,9 @@ _SEPARATORS = {"biquadratic": ",", "kummer": "^"}
 def parse_field_spec(text: str) -> FieldDescriptor:
     """Grammar: quadratic:<d> | biquadratic:<d1>,<d2> | cyclotomic:<n> | kummer:<l>^<k>.
 
-    A cyclotomic n is canonicalized. The descriptor, made after the parse,
-    checks itself, and its errors pass as they are: a BadModulusError stays
-    exit 3.
+    The descriptor, made after the parse, checks itself, and its errors pass
+    as they are: a BadModulusError stays exit 3.  A cyclotomic n is
+    canonicalized after that check, so n >= 2**64 and n < 3 are reported as such.
     """
     kind, sep, rest = text.partition(":")
     if not sep:
@@ -92,11 +92,10 @@ def parse_field_spec(text: str) -> FieldDescriptor:
             params = (int(first), int(second))
         else:
             params = (int(rest),)
-        if make is Cyclotomic:
-            params = (cyclotomic.canonical_n(*params),)
     except ValueError as exc:
         raise InvalidInputError(f"cannot parse field spec '{text}'") from exc
-    return make(*params)
+    field = make(*params)
+    return Cyclotomic(cyclotomic.canonical_n(field.n)) if isinstance(field, Cyclotomic) else field
 
 
 def format_trace(verdict: Verdict) -> str:
@@ -151,7 +150,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ramification(args: argparse.Namespace) -> int:
-    # ramified_places factors a and b by trial division: bound them before it runs.
+    # ramified_places factors a and b, and factorize is bounded below 2**64 only.
     for name, value in (("a", args.a), ("b", args.b)):
         if abs(value) > arith.UINT64_MAX:
             raise InvalidInputError(f"--{name} must be below 2**64 in absolute value")

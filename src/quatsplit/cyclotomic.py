@@ -62,14 +62,7 @@ def _unit_group(m: int) -> tuple[int, tuple[int, ...]]:
 
     A field n meets at most 1 + omega(n) <= 16 moduli m (n with one prime
     part removed), so a sweep factors each of them once instead of once per
-    prime.  A prime power m = l**k below 2**64 is found without trial
-    division, and phi(m) = l**(k-1) * (l - 1), so only l - 1 is factored.
+    prime.
     """
-    power = arith.prime_power(m) if m <= arith.UINT64_MAX else None
-    if power is None:
-        phi = arith.euler_phi(m)
-        return phi, tuple(q for q, _ in arith.factorize(phi))
-    ell, k = power
-    # Every prime of l - 1 is below l, so the primes stay ascending.
-    primes = tuple(q for q, _ in arith.factorize(ell - 1)) + ((ell,) if k > 1 else ())
-    return ell ** (k - 1) * (ell - 1), primes
+    phi = arith.euler_phi(m)
+    return phi, tuple(q for q, _ in arith.factorize(phi))

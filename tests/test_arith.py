@@ -4,18 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quatsplit.arith import (
-    euler_phi,
-    factorize,
-    is_prime,
-    is_squarefree,
-    legendre,
-    prime_power,
-    primes_up_to,
-)
+import quatsplit.arith as arith_module
+from quatsplit.arith import euler_phi, factorize, is_prime, legendre, primes_up_to
+from quatsplit.classify import Quadratic
 from quatsplit.cyclotomic import canonical_n, factorization_shape
-from quatsplit.errors import InvalidInputError
+from quatsplit.errors import InvalidInputError, NonSquarefreeError
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -178,58 +174,72 @@ def test_multiplicative_order_matches_stepping():
             assert factorization_shape(p, n).f == f, (p, n)
 
 
-def test_prime_power_matches_factorize():
-    for n in range(20_000):
-        factors = factorize(n) if n else []
-        assert prime_power(n) == (factors[0] if len(factors) == 1 else None), n
+def _assert_factorization(n, factors):
+    """factors is n's factorization: ascending primes, exponents >= 1, product n."""
+    primes = [q for q, _ in factors]
+    assert primes == sorted(set(primes)), n
+    assert all(is_prime(q) and e >= 1 for q, e in factors), n
+    assert math.prod(q**e for q, e in factors) == n
 
 
-def test_prime_power_64_bit():
-    """Up to 2**64 without trial division: the float root must round to the exact one."""
+def test_factorize_exhaustive():
+    for n in range(1, 30_000):
+        _assert_factorization(n, factorize(n))
+
+
+@settings(max_examples=200, deadline=2000, database=None)
+@given(st.integers(min_value=1, max_value=2**64 - 1))
+def test_factorize_64_bit_property(n):
+    _assert_factorization(n, factorize(n))
+
+
+def test_factorize_64_bit():
+    """Bounded time below 2**64: trial division stops at 2**16, then is_prime and Pollard's rho."""
     largest = 2**64 - 59  # the largest prime below 2**64
-    assert prime_power(largest) == (largest, 1)
-    assert prime_power(1000000000000000003) == (1000000000000000003, 1)
-    for ell, k in ((2, 63), (3, 40), (7, 22), (65521, 4), (2642239, 3), (2**31 - 1, 2), (2**32 - 5, 2)):
-        assert prime_power(ell**k) == (ell, k)
-        assert prime_power(ell**k - 1) is None  # each has two distinct prime factors
-    assert prime_power((2**32 - 5) * (2**32 - 17)) is None  # two 32-bit primes
-    assert prime_power(2**64 - 1) is None
+    assert factorize(largest) == [(largest, 1)]
+    assert factorize(1000000000000000003) == [(1000000000000000003, 1)]
+    assert factorize(2_642_239**3) == [(2_642_239, 3)]  # the largest prime cube below 2**64
+    assert factorize((2**31 - 1) ** 2) == [(2**31 - 1, 2)]
+    assert factorize((2**32 - 5) ** 2) == [(2**32 - 5, 2)]
+    assert factorize((2**32 - 5) * (2**32 - 17)) == [(2**32 - 17, 1), (2**32 - 5, 1)]  # two 32-bit primes
+    assert factorize(2**64 - 1) == [(3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)]
+    # l**k, and the exact factorization of l**k - 1
+    one_less = {
+        (2, 63): [(7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1)],
+        (3, 40): [(2, 5), (5, 2), (11, 2), (41, 1), (61, 1), (1181, 1), (42521761, 1)],
+        (7, 22): [(2, 4), (3, 1), (23, 1), (1123, 1), (293459, 1), (10746341, 1)],
+        (65521, 4): [(2, 6), (3, 2), (5, 1), (7, 1), (13, 1), (37, 1), (181, 2), (569, 1), (101957, 1)],
+        (2642239, 3): [(2, 1), (3, 3), (181, 1), (811, 1), (1087, 1), (2140886101, 1)],
+        (2**31 - 1, 2): [(2, 32), (3, 2), (7, 1), (11, 1), (31, 1), (151, 1), (331, 1)],
+        (2**32 - 5, 2): [(2, 3), (3, 2), (5, 1), (7, 1), (11, 1), (19, 1), (31, 1), (151, 1), (331, 1), (22605091, 1)],
+    }
+    for (ell, k), factors in one_less.items():
+        assert factorize(ell**k) == [(ell, k)]
+        assert factorize(ell**k - 1) == factors
+        _assert_factorization(ell**k - 1, factors)
+    assert factorize(2**70) == [(2, 70)]
     with pytest.raises(InvalidInputError):
-        prime_power(2**64)
+        factorize(0)
+    with pytest.raises(InvalidInputError):
+        factorize(2**64 + 13)  # a prime: its cofactor after trial division is 2**64 or more
+
+
+def test_factorize_below_2_32_is_trial_division(monkeypatch):
+    """Below 2**32 nothing but trial division runs: no primality test is called."""
+    calls = []
+    monkeypatch.setattr(arith_module, "is_prime", lambda n: calls.append(n) or True)
+    for n in (2**32 - 1, 2**32 - 5, 65521**2, 65519 * 65521, 2**31 - 1, 10**7 - 1):
+        _assert_factorization(n, factorize(n))
+    assert calls == []
+    factorize(2**64 - 59)
+    assert calls  # above 2**32 the cofactor is proved prime
 
 
 def test_factorize_and_squarefree():
     assert factorize(1) == []
     assert factorize(7918) == [(2, 1), (37, 1), (107, 1)]
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
-    assert is_squarefree(-7) and is_squarefree(30)
-    assert not is_squarefree(12) and not is_squarefree(-45)
-    with pytest.raises(InvalidInputError):
-        is_squarefree(0)
-
-
-def _squarefree_by_factorize(n: int) -> bool:
-    return all(e == 1 for _, e in factorize(abs(n)))
-
-
-def test_is_squarefree_matches_factorize():
-    """Trial division up to the cube root, then a square test, decides as full factoring does."""
-    for n in range(1, 30_000):
-        assert is_squarefree(n) is _squarefree_by_factorize(n), n
-        assert is_squarefree(-n) is is_squarefree(n), n
-    # the cofactor left after trial division: q**2, q*q' and their small multiples, q near 10**6
-    q, q2 = 999_983, 1_000_003
-    for cofactor in (q * q, q * q2, q2 * q2, q, q * 1_000_033):
-        for k in (1, 2, 3, 4, 6, 25, 30, 49, 997):
-            assert is_squarefree(cofactor * k) is _squarefree_by_factorize(cofactor * k), (cofactor, k)
-
-
-def test_is_squarefree_64_bit():
-    """Bounded work below 2**64: trial division stops at the cube root."""
-    largest = 2**64 - 59  # the largest prime below 2**64
-    assert is_squarefree(largest) and is_squarefree(-largest)
-    assert is_squarefree(1000000000000000003)
-    assert not is_squarefree((2**32 - 5) ** 2)
-    assert is_squarefree((2**32 - 5) * (2**32 - 17))
-    assert not is_squarefree(2_642_239**3)  # trial division reaches the largest prime cube below 2**64
-    assert is_squarefree(2**64 - 1)  # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417
+    assert Quadratic(-7).d == -7 and Quadratic(30).d == 30
+    for d in (12, -45):
+        with pytest.raises(NonSquarefreeError):
+            Quadratic(d)

@@ -14,6 +14,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quatsplit
 from quatsplit import workers
@@ -57,6 +59,10 @@ def test_parse_field_spec():
     for bad in ("septic:3", "cyclotomic", "kummer:3", "biquadratic:-1", "quadratic:x"):
         with pytest.raises(InvalidInputError):
             parse_field_spec(bad)
+    # n is canonicalized only after the descriptor checked it, so its own message stands
+    for n in (2, -5):
+        with pytest.raises(InvalidInputError, match=f"^cyclotomic index must be >= 3, got {n}$"):
+            parse_field_spec(f"cyclotomic:{n}")
 
 
 def test_classify_text(capsys):
@@ -124,6 +130,9 @@ BAD_FIELD_EXIT_CODES = {
     "cyclotomic:13": EXIT_UNSUPPORTED,
     "kummer:5^1": EXIT_UNSUPPORTED,
     "kummer:3^20000": EXIT_BAD_ARGS,
+    f"cyclotomic:{2**64 + 2}": EXIT_BAD_ARGS,
+    "cyclotomic:2": EXIT_BAD_ARGS,
+    "cyclotomic:-5": EXIT_BAD_ARGS,
 }
 
 
@@ -314,16 +323,40 @@ def test_ramification_bounds_its_arguments(capsys):
 
 
 def test_ramification_huge_argument_exits_promptly():
-    """A 70-digit a is rejected before any trial division, so this cannot hang."""
-    result = subprocess.run(
-        [sys.executable, "-m", "quatsplit", "ramification", "--a", "7" * 70, "--b", "3"],
-        capture_output=True,
-        text=True,
-        env=_env_with_src(),
-        timeout=60,
-    )
-    assert result.returncode == EXIT_BAD_ARGS
-    assert result.stderr.startswith("error:")
+    """A 70-digit a is rejected before anything factors it, and a 64-bit prime or
+    product of two 32-bit primes is factored without trial division up to its square root."""
+    for a, code, ramified in (
+        ("7" * 70, EXIT_BAD_ARGS, None),
+        ("1000000000000000003", EXIT_OK, "2 1000000000000000003"),
+        (str((2**32 - 17) * (2**32 - 5)), EXIT_OK, "(none)"),
+    ):
+        result = subprocess.run(
+            [sys.executable, "-m", "quatsplit", "ramification", "--a", a, "--b", "3"],
+            capture_output=True,
+            text=True,
+            env=_env_with_src(),
+            timeout=60,
+        )
+        assert result.returncode == code, result.stderr
+        if ramified is None:
+            assert result.stderr.startswith("error:")
+        else:
+            assert f"ramified: {ramified}\n" in result.stdout
+
+
+_NONZERO_64 = st.integers(min_value=1, max_value=2**64 - 1).flatmap(lambda n: st.sampled_from((n, -n)))
+
+
+@settings(max_examples=100, deadline=2000, database=None)
+@given(_NONZERO_64, _NONZERO_64)
+def test_ramification_of_any_64_bit_arguments(a, b):
+    """ramification answers for every nonzero |a|, |b| < 2**64 within the deadline, and
+    Hilbert reciprocity holds: an even number of places ramify."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["ramification", "--a", str(a), "--b", str(b), "--format", "json"])
+    assert code == EXIT_OK
+    assert len(json.loads(out.getvalue())["ramified"]) % 2 == 0
 
 
 def test_verify_csv_report(capsys, tmp_path):
@@ -779,20 +812,20 @@ def test_sweep_factors_the_cyclotomic_modulus_once(monkeypatch, max_prime):
 
 @pytest.mark.parametrize("field", [(Quadratic, 1000003), (Biquadratic, -1, 1000003)])
 def test_sweep_checks_each_quadratic_d_once(monkeypatch, field):
-    """d, or a biquadratic field's d1 and d2, are checked once, when the field is made, and
-    not again per sweep prime; d1*d2 up to squares is squarefree by construction."""
+    """d, or a biquadratic field's d1 and d2, are factored once, by the squarefree check when
+    the field is made, and not again per sweep prime; d1*d2 up to squares is squarefree by construction."""
     import quatsplit.arith as arith_module
 
     classify_module = importlib.import_module("quatsplit.classify")
     calls = 0
-    is_squarefree = arith_module.is_squarefree
+    factorize = arith_module.factorize
 
     def counted(n):
         nonlocal calls
         calls += 1
-        return is_squarefree(n)
+        return factorize(n)
 
-    monkeypatch.setattr(arith_module, "is_squarefree", counted)
+    monkeypatch.setattr(arith_module, "factorize", counted)
     caches = (classify_module._resolve, local_degree)
     for cache in caches:
         cache.cache_clear()
@@ -828,7 +861,7 @@ def test_verify_kummer_huge_exponent_exits_promptly():
 
 @pytest.mark.parametrize("spec", ["cyclotomic:1000000000000000003", "kummer:1000000000000000003^1"])
 def test_classify_19_digit_prime_index_exits_promptly(spec):
-    """Prop 4.1 recognises n = l**k by k-th roots and a primality test, not by trial division."""
+    """Prop 4.1 recognises n = l**k by factorize, whose trial division of a 64-bit n stops at 2**16."""
     result = subprocess.run(
         [sys.executable, "-m", "quatsplit", "classify", "--field", spec, "--p", "3", "--q", "31"],
         capture_output=True,
@@ -860,7 +893,7 @@ def test_classify_19_digit_prime_index_exits_promptly(spec):
     ],
 )
 def test_quadratic_d_exits_promptly(argv, code):
-    """The squarefree check of d stops trial division at the cube root of d, and |d| >= 2**64 is bad input.
+    """The squarefree check of d factors d, with trial division only up to 2**16, and |d| >= 2**64 is bad input.
 
     Only the d typed are checked: the third subfield of a biquadratic field,
     here d1*d2 above 2**64, is squarefree by construction.
@@ -881,17 +914,19 @@ def test_quadratic_d_exits_promptly(argv, code):
 
 @pytest.mark.parametrize("command", ["classify", "verify"])
 def test_cyclotomic_index_of_2_64_or_more_exits_promptly(command):
-    """A cyclotomic index n >= 2**64 is bad input, rejected before anything factors it."""
+    """A cyclotomic index n >= 2**64 is bad input, rejected before anything factors it,
+    and before it is canonicalized: 2**64 + 2 is not taken for 2**63 + 1."""
     argv = ["--p", "3", "--q", "7"] if command == "classify" else ["--max-prime", "20"]
-    result = subprocess.run(
-        [sys.executable, "-m", "quatsplit", command, "--field", f"cyclotomic:{10**68 + 1}", *argv],
-        capture_output=True,
-        text=True,
-        env=_env_with_src(),
-        timeout=60,
-    )
-    assert result.returncode == EXIT_BAD_ARGS
-    assert result.stderr.startswith("error: cyclotomic index must be below 2**64")
+    for n in (10**68 + 1, 2**64 + 2):
+        result = subprocess.run(
+            [sys.executable, "-m", "quatsplit", command, "--field", f"cyclotomic:{n}", *argv],
+            capture_output=True,
+            text=True,
+            env=_env_with_src(),
+            timeout=60,
+        )
+        assert result.returncode == EXIT_BAD_ARGS
+        assert result.stderr.startswith("error: cyclotomic index must be below 2**64")
 
 
 @pytest.mark.parametrize(
@@ -901,11 +936,16 @@ def test_cyclotomic_index_of_2_64_or_more_exits_promptly(command):
         "kummer:999999999959^1",
         "cyclotomic:1000000000000000003",
         "kummer:1000000000000000003^1",
+        # safe primes l = 2q + 1, q prime: phi(l) = 2q, whose trial division would run to sqrt(q);
+        # the last is the largest safe prime below 2**64
+        "cyclotomic:200000000000000363",
+        "kummer:200000000000000363^1",
+        "cyclotomic:18446744073709550147",
     ],
 )
 def test_verify_large_cyclotomic_index_exits_promptly(spec):
     """Local degrees need the order of p mod n, which must not step through ~n powers of p,
-    nor trial-divide a prime-power n or its totient: for n = l**k only l - 1 is factored."""
+    nor trial-divide n or its totient up to the square root."""
     result = subprocess.run(
         [sys.executable, "-m", "quatsplit", "verify", "--field", spec, "--max-prime", "20"],
         capture_output=True,
@@ -915,6 +955,23 @@ def test_verify_large_cyclotomic_index_exits_promptly(spec):
     )
     assert result.returncode == EXIT_OK, result.stderr
     assert "pairs: 56\nagree: 56\n" in result.stdout
+
+
+def test_division_oracle_61_bit_prime_exits_promptly():
+    """The oracle factors p1 and p2 for their ramified places: the prime 2**61 - 1 is proved
+    prime after trial division to 2**16, and the answer is the sweep oracle's."""
+    code = (
+        "from quatsplit.classify import Cyclotomic\n"
+        "from quatsplit.oracle import division_oracle, sweep_oracle\n"
+        "field, p1, p2 = Cyclotomic(7), 2**61 - 1, 3\n"
+        "outcomes, code_of = sweep_oracle(field, (p1, p2))\n"
+        "print(division_oracle(field, p1, p2).value, outcomes[code_of(p1, p2)].value)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_env_with_src(), timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "Division Division\n"
 
 
 def test_module_entry_point():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from quatsplit.arith import is_squarefree, primes_up_to
+from quatsplit.arith import factorize, primes_up_to
 from quatsplit.classify import (
     Biquadratic,
     Cyclotomic,
@@ -118,7 +118,7 @@ def test_tower_monotonicity_at_even_indices():
 
 def test_oracle_agrees_with_quadratic_criterion():
     """Independent re-derivation of the quadratic-base theorem."""
-    ds = [d for d in range(-30, 31) if d not in (0, 1) and is_squarefree(d)]
+    ds = [d for d in range(-30, 31) if d not in (0, 1) and all(e == 1 for _, e in factorize(abs(d)))]
     for d in ds:
         field = Quadratic(d)
         for p1, p2 in PAIRS_200:

@@ -12,7 +12,7 @@ from itertools import count
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatsplit.arith import is_prime, is_squarefree, primes_up_to
+from quatsplit.arith import factorize, is_prime, primes_up_to
 from quatsplit.classify import Biquadratic, Cyclotomic, Kummer, Quadratic, classify
 from quatsplit.hilbert import INFINITE_PLACE, Place, hilbert_symbol
 from quatsplit.oracle import division_oracle
@@ -24,7 +24,7 @@ def _next_prime(n: int) -> int:
     return next(p for p in count(n) if is_prime(p))
 
 
-_SQUAREFREE = [d for d in range(-40, 41) if d not in (0, 1) and is_squarefree(d)]
+_SQUAREFREE = [d for d in range(-40, 41) if d not in (0, 1) and all(e == 1 for _, e in factorize(abs(d)))]
 
 FIELDS = st.one_of(
     st.sampled_from(_SQUAREFREE).map(Quadratic),
