@@ -104,12 +104,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     Trial division by 2, 3 and 6k +- 1 runs while f*f <= min(n, 2**32), so
     below 2**32 it is all there is.  A cofactor n >= f*f left after it has
     no prime below 2**16, so at most three prime factors, which
-    _prime_factors finds.  A cofactor of 2**64 or more is beyond is_prime,
-    which raises InvalidInputError.
+    _prime_factors finds.  A cofactor of 2**64 or more raises
+    InvalidInputError.
     """
     if n < 1:
         raise InvalidInputError(f"factorize expects n >= 1, got {n}")
-    factors = []
+    argument, factors = n, []
     for p in (2, 3):
         if n % p == 0:
             e = 0
@@ -129,6 +129,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
                 factors.append((p, e))
                 limit = n if n < 2**32 else 2**32
         f += 6
+    if n > UINT64_MAX:
+        raise InvalidInputError(f"factorize expects a cofactor below 2**64 after trial division, got {argument}")
     if n >= f * f:
         factors += sorted(Counter(_prime_factors(n)).items())
     elif n > 1:

@@ -36,9 +36,12 @@ def factorization_shape(p: int, n: int) -> FactorizationShape:
     For p not dividing n: e = 1 and f is the multiplicative order of p mod n.
     For p | n, write n = p**a * m with p not dividing m: the p-power part is
     totally ramified, so e = phi(p**a) and f is the order of p mod m (1 when
-    m <= 2).  In all cases e * f * g = phi(n).
+    m <= 2).  In all cases e * f * g = phi(n).  n must be below 2**64, the
+    bound of Cyclotomic and of the factoring of phi.
     """
     arith.require_prime(p)
+    if n > arith.UINT64_MAX:
+        raise InvalidInputError(f"cyclotomic index must be below 2**64, got {n}")
     if n < 3 or n % 4 == 2:
         raise InvalidInputError(f"expected a canonical cyclotomic index, got {n} (see canonical_n)")
     return factorization_shape_unchecked(p, n)

@@ -12,6 +12,7 @@ where eps(u) = (u - 1)/2 mod 2 and omega(u) = (u**2 - 1)/8 mod 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import arith
@@ -146,29 +147,20 @@ def ramified_places(a: int, b: int) -> RamificationData:
 def discriminant_fast_path(p: int, q: int) -> int | None:
     """Closed-form reduced discriminant of H_Q(p, q) for the covered prime pairs.
 
-    Because H(p, q) and H(q, p) are isomorphic, the three cases are tried in
-    both argument orders:
+    The lemma's three cases, in either argument order, since H(p, q) and
+    H(q, p) are isomorphic:
 
       1. p % 4 == q % 4 == 3 and (q|p) != 1          ->  2p
       2. q == 2 and p % 8 == 3                       ->  2p
       3. p or q == 1 (mod 4), q odd, and (p|q) == -1 ->  pq
 
-    Returns None when no case applies in either order.
+    Each case is a reading of prime_pair_symbols(p, q), so the product of
+    the places where those symbols are -1 is returned.  Returns None when no
+    case applies in either order, which is when no place ramifies and H(p, q)
+    splits over Q.
     """
     arith.require_distinct_primes(p, q)
-    for x, y in ((p, q), (q, p)):
-        disc = _fast_path_ordered(x, y)
-        if disc is not None:
-            return disc
-    return None
-
-
-def _fast_path_ordered(p: int, q: int) -> int | None:
-    # discriminant_fast_path proved p, q prime, and each symbol's modulus is odd.
-    if p % 4 == 3 and q % 4 == 3 and arith.legendre_unchecked(q, p) != 1:
-        return 2 * p
-    if q == 2 and p % 8 == 3:
-        return 2 * p
-    if q != 2 and (p % 4 == 1 or q % 4 == 1) and arith.legendre_unchecked(p, q) == -1:
-        return p * q
-    return None
+    at_2, at_p, at_q, _ = prime_pair_symbols(p, q)
+    # when p or q is 2, its symbol is the one at 2, and the set holds 2 once
+    ramified = {v for v, symbol in ((2, at_2), (p, at_p), (q, at_q)) if symbol == -1}
+    return math.prod(ramified) if ramified else None

@@ -222,6 +222,9 @@ def test_factorize_64_bit():
         factorize(0)
     with pytest.raises(InvalidInputError):
         factorize(2**64 + 13)  # a prime: its cofactor after trial division is 2**64 or more
+    # the error names factorize's argument, not the cofactor it could not prove prime
+    with pytest.raises(InvalidInputError, match=f"^factorize expects .* got {2 * (2**64 + 13)}$"):
+        factorize(2 * (2**64 + 13))
 
 
 def test_factorize_below_2_32_is_trial_division(monkeypatch):

@@ -3,7 +3,6 @@
 import contextlib
 import csv
 import hashlib
-import importlib
 import io
 import json
 import os
@@ -357,6 +356,35 @@ def test_ramification_of_any_64_bit_arguments(a, b):
         code = main(["ramification", "--a", str(a), "--b", str(b), "--format", "json"])
     assert code == EXIT_OK
     assert len(json.loads(out.getvalue())["ramified"]) % 2 == 0
+
+
+# Small parameters hit valid and supported fields; wide ones reach past every 2**64 bound.
+_PARAM = st.one_of(st.integers(-60, 60), st.integers(-(2**65), 2**65))
+_FIELD_SPECS = st.one_of(
+    st.builds("quadratic:{}".format, _PARAM),
+    st.builds("biquadratic:{},{}".format, _PARAM, _PARAM),
+    st.builds("cyclotomic:{}".format, _PARAM),
+    st.builds("kummer:{}^{}".format, _PARAM, st.integers(-1, 70)),
+)
+_PRIME_ARG = st.one_of(st.sampled_from(primes_up_to(200)), st.integers(-(2**65), 2**65))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_FIELD_SPECS, _PRIME_ARG, _PRIME_ARG, st.integers(0, 60))
+def test_classify_and_verify_of_any_field_spec(spec, p, q, max_prime):
+    """classify and verify answer every field spec of every kind, valid or not, with parameters
+    up to 2**65 in absolute value: each call exits 0, 2 or 3 within 2 s, and never with a traceback."""
+    for argv in (
+        ["classify", "--field", spec, "--p", str(p), "--q", str(q)],
+        ["verify", "--field", spec, "--max-prime", str(max_prime)],
+    ):
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 2, argv
+        assert code in (EXIT_OK, EXIT_BAD_ARGS, EXIT_UNSUPPORTED), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue(), argv
 
 
 def test_verify_csv_report(capsys, tmp_path):
@@ -786,9 +814,9 @@ def test_sweep_evaluates_each_unordered_pair_once(monkeypatch):
 def test_sweep_factors_the_cyclotomic_modulus_once(monkeypatch, max_prime):
     """The modulus and its totient are factored once per field, not once per sweep prime."""
     import quatsplit.arith as arith_module
+    import quatsplit.classify as classify_module
     import quatsplit.cyclotomic as cyclotomic_module
 
-    classify_module = importlib.import_module("quatsplit.classify")
     calls = 0
     factorize = arith_module.factorize
 
@@ -815,8 +843,8 @@ def test_sweep_checks_each_quadratic_d_once(monkeypatch, field):
     """d, or a biquadratic field's d1 and d2, are factored once, by the squarefree check when
     the field is made, and not again per sweep prime; d1*d2 up to squares is squarefree by construction."""
     import quatsplit.arith as arith_module
+    import quatsplit.classify as classify_module
 
-    classify_module = importlib.import_module("quatsplit.classify")
     calls = 0
     factorize = arith_module.factorize
 
@@ -975,6 +1003,7 @@ def test_division_oracle_61_bit_prime_exits_promptly():
 
 
 def test_module_entry_point():
+    """`python -m quatsplit` runs the CLI, and a bare `import quatsplit` loads none of its modules."""
     result = subprocess.run(
         [sys.executable, "-m", "quatsplit", "classify", "--field", "cyclotomic:7", "--p", "3", "--q", "2"],
         capture_output=True,
@@ -982,6 +1011,9 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "outcome: Division" in result.stdout
+    loaded = "import sys, quatsplit; print(sorted(m for m in sys.modules if m.startswith('quatsplit.')))"
+    result = subprocess.run([sys.executable, "-c", loaded], capture_output=True, text=True, env=_env_with_src())
+    assert result.returncode == 0 and result.stdout == "[]\n", result.stderr
 
 
 def _odd_ramification(a, b, place):

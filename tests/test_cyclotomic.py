@@ -57,6 +57,9 @@ def test_factorization_shape_pinned():
 def test_factorization_shape_rejects_non_canonical():
     with pytest.raises(InvalidInputError):
         factorization_shape(3, 10)
+    # n >= 2**64 is rejected as Cyclotomic rejects it, before anything factors it
+    with pytest.raises(InvalidInputError, match=r"^cyclotomic index must be below 2\*\*64, got 618970019642690137449562111$"):
+        factorization_shape(3, 2**89 - 1)
 
 
 def test_shape_product_sweep():

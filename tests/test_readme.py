@@ -2,7 +2,8 @@
 
 from pathlib import Path
 
-from quatsplit import Outcome, Place, RamificationData
+from quatsplit.classify import Outcome
+from quatsplit.hilbert import Place, RamificationData
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
