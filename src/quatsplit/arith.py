@@ -67,7 +67,9 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int) -> None:
-    """Raise unless p is a positive prime."""
+    """Raise unless p is a positive prime below 2**64."""
+    if p > UINT64_MAX:
+        raise InvalidInputError(f"expected a prime below 2**64, got {p}")
     if p < 2 or not is_prime(p):
         raise InvalidInputError(f"expected a positive prime, got {p}")
 
@@ -81,12 +83,12 @@ def require_distinct_primes(p1: int, p2: int) -> None:
 
 
 def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a|p) in {-1, 0, +1} for an odd prime p.
+    """Legendre symbol (a|p) in {-1, 0, +1} for an odd prime p below 2**64.
 
     Euler's criterion: a^((p-1)/2) mod p.  Negative a is reduced mod p first.
     """
-    if p < 3 or not is_prime(p):
-        raise InvalidInputError(f"legendre modulus must be an odd prime, got {p}")
+    if not (3 <= p <= UINT64_MAX and is_prime(p)):
+        raise InvalidInputError(f"legendre modulus must be an odd prime below 2**64, got {p}")
     return legendre_unchecked(a, p)
 
 

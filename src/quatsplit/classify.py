@@ -142,6 +142,8 @@ class Kummer:
 
     def __post_init__(self) -> None:
         ell, k = self.ell, self.k
+        if ell > arith.UINT64_MAX:
+            raise InvalidInputError(f"l must be a prime below 2**64, got {ell}")
         if ell < 2 or not arith.is_prime(ell) or ell % 4 != 3:
             raise BadModulusError(f"need a prime l ≡ 3 (mod 4), got {ell}")
         if k < 1:

@@ -268,14 +268,11 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     Each prime is proved prime once, by the sweep entries of the classifier
     and of the oracle, before this returns, and an unsupported field fails
     here, before any output exists. The pair loop then runs on
-    their per-prime tables as the returned report is iterated. For Kummer
-    fields the oracle runs over Q(zeta_{l**k}): the radical layer has odd
-    degree, so the division/split answer transfers unchanged.
+    their per-prime tables as the returned report is iterated.
     """
     primes = arith.primes_up_to(max_prime)
     verdicts, code_of = sweep_classifier(field, primes)
-    oracle_field = Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
-    outcomes, oracle_of = sweep_oracle(oracle_field, primes)
+    outcomes, oracle_of = sweep_oracle(field, primes)
     return SweepReport(field, max_prime, primes, verdicts, code_of, outcomes, oracle_of)
 
 

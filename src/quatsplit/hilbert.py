@@ -26,12 +26,8 @@ class Place:
     prime: int | None
 
     def __post_init__(self) -> None:
-        if self.prime is not None and (self.prime < 2 or not arith.is_prime(self.prime)):
-            raise InvalidInputError(f"finite places carry a prime, got {self.prime}")
-
-    @property
-    def is_finite(self) -> bool:
-        return self.prime is not None
+        if self.prime is not None and not (2 <= self.prime <= arith.UINT64_MAX and arith.is_prime(self.prime)):
+            raise InvalidInputError(f"finite places carry a prime below 2**64, got {self.prime}")
 
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
@@ -79,16 +75,16 @@ def hilbert_symbol(a: int, b: int, place: Place) -> int:
     return sign
 
 
-def prime_pair_symbols(p: int, q: int) -> tuple[int, int, int, int]:
-    """The local symbols (p, q)_v of H_Q(p, q) at v = 2, p, q and infinity, in that order.
+def prime_pair_symbols(p: int, q: int) -> tuple[int, int, int]:
+    """The local symbols (p, q)_v of H_Q(p, q) at v = 2, p and q, in that order.
 
     hilbert_symbol's formulas with the valuations known (Serre, A Course in
     Arithmetic, III.1.2, Thm. 1): (q|p) at p and (p|q) at q, both by Euler's
     criterion; at 2, (-1)**(eps(p)*eps(q)) for odd p, q, and (-1)**omega(q)
     when p = 2 (then the symbol at p is the one at 2).  No other place can
-    ramify.  Raises InternalInvariantError when the ramified places are odd
-    in number, which Hilbert reciprocity forbids.  The caller has proved p, q
-    distinct primes.
+    ramify, infinity neither, as p, q > 0.  Raises InternalInvariantError when
+    the ramified places are odd in number, which Hilbert reciprocity forbids.
+    The caller has proved p, q distinct primes.
     """
     if p == 2:
         at_2 = at_p = -1 if _omega(q) else 1
@@ -104,10 +100,9 @@ def prime_pair_symbols(p: int, q: int) -> tuple[int, int, int, int]:
         at_p = arith.legendre_unchecked(q, p)
         at_q = arith.legendre_unchecked(p, q)
         product = at_2 * at_p * at_q
-    at_inf = -1 if (p < 0 and q < 0) else 1
-    if product * at_inf == -1:
+    if product == -1:
         raise InternalInvariantError(f"Hilbert product formula violated for ({p}, {q})")
-    return at_2, at_p, at_q, at_inf
+    return at_2, at_p, at_q
 
 
 @dataclass(frozen=True)
@@ -160,7 +155,7 @@ def discriminant_fast_path(p: int, q: int) -> int | None:
     splits over Q.
     """
     arith.require_distinct_primes(p, q)
-    at_2, at_p, at_q, _ = prime_pair_symbols(p, q)
+    at_2, at_p, at_q = prime_pair_symbols(p, q)
     # when p or q is 2, its symbol is the one at 2, and the set holds 2 once
     ramified = {v for v, symbol in ((2, at_2), (p, at_p), (q, at_q)) if symbol == -1}
     return math.prod(ramified) if ramified else None

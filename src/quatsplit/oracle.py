@@ -24,7 +24,7 @@ from .classify import (
     Quadratic,
 )
 from .errors import InternalInvariantError, UnsupportedFieldError
-from .hilbert import Place, prime_pair_symbols, ramified_places
+from .hilbert import INFINITE_PLACE, Place, prime_pair_symbols, ramified_places
 
 
 _SPLIT = quadratic.SplittingType.SPLIT
@@ -64,21 +64,26 @@ def local_degree(field: FieldDescriptor, place: Place) -> int:
                 return 2
             shape = cyclotomic.factorization_shape_unchecked(place.prime, cyclotomic.canonical_n(n))
             return shape.e * shape.f
-        case Kummer(ell, k):
-            raise UnsupportedFieldError(
-                f"Kummer local degrees depend on the radicand; use cyclotomic:{ell**k}, "
-                "which decides division the same way"
-            )
     raise UnsupportedFieldError(f"no local degrees for {field}")
+
+
+def _parity_field(field: FieldDescriptor) -> FieldDescriptor:
+    """Q(zeta_{l**k}) for Kummer(l, k), else field: the oracle needs only local degree parities.
+
+    [K : Q(zeta_{l**k})] divides l**k, which is odd, so a local degree of K is
+    the one of Q(zeta_{l**k}) times an odd factor (Prop 4.1 decides K so too).
+    """
+    return Cyclotomic(field.ell**field.k) if isinstance(field, Kummer) else field
 
 
 def division_oracle(field: FieldDescriptor, p1: int, p2: int) -> Outcome:
     """DIVISION iff some ramified place of H_Q(p1, p2) has odd local degree in K."""
     arith.require_distinct_primes(p1, p2)
+    field = _parity_field(field)
     ramified = ramified_places(p1, p2).ramified
     # Positive slots: the infinite place never ramifies, so only finite
     # degrees can decide.
-    if not all(v.is_finite for v in ramified):
+    if INFINITE_PLACE in ramified:
         raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
     if any(local_degree(field, v) % 2 == 1 for v in ramified):
         return Outcome.DIVISION
@@ -97,25 +102,22 @@ def sweep_oracle(
     returns its verdicts with their index function.  outcomes is
     (DIVISION, SPLIT), so a code is 0 or 1.
 
-    For a verify sweep: each prime becomes a Place once, which proves it
-    prime, and its local degree in K is read once, as is the degree at 2.
-    Only 2, p1, p2 and infinity can ramify in H_Q(p1, p2), so a pair costs
+    For a verify sweep: each prime, and 2, becomes a Place once, which
+    proves it prime, and its local degree in K is read once.  Only 2, p1
+    and p2 can ramify in H_Q(p1, p2), so a pair costs
     hilbert.prime_pair_symbols, the local symbols there in closed form with
-    the product-formula check, then the infinite-place check of
-    division_oracle and set lookups of the odd-degree primes.  The local
-    symbols are symmetric, (a, b)_v = (b, a)_v at every place (Serre, A Course
-    in Arithmetic, III.1.1), so H(p1, p2) and H(p2, p1) have the same answer,
-    and a sweep asks the returned function about each unordered pair once,
-    with p1 < p2.  code_of trusts its arguments.
+    the product-formula check, then set lookups of the odd-degree primes.
+    The local symbols are symmetric, (a, b)_v = (b, a)_v at every place
+    (Serre, A Course in Arithmetic, III.1.1), so H(p1, p2) and H(p2, p1)
+    have the same answer, and a sweep asks the returned function about each
+    unordered pair once, with p1 < p2.  code_of trusts its arguments.
     """
-    odd = frozenset(p for p in primes if local_degree(field, Place(p)) % 2 == 1)
-    two_odd = local_degree(field, Place(2)) % 2 == 1
+    field = _parity_field(field)
+    odd = frozenset(p for p in (2, *primes) if local_degree(field, Place(p)) % 2 == 1)
 
     def code_of(p1: int, p2: int) -> int:
-        at_2, at_p1, at_p2, at_inf = prime_pair_symbols(p1, p2)
-        if at_inf == -1:
-            raise InternalInvariantError(f"the infinite place ramifies in H_Q({p1}, {p2})")
-        if (at_p1 == -1 and p1 in odd) or (at_p2 == -1 and p2 in odd) or (at_2 == -1 and two_odd):
+        at_2, at_p1, at_p2 = prime_pair_symbols(p1, p2)
+        if (at_p1 == -1 and p1 in odd) or (at_p2 == -1 and p2 in odd) or (at_2 == -1 and 2 in odd):
             return 0
         return 1
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quatsplit.arith as arith_module
-from quatsplit.arith import euler_phi, factorize, is_prime, legendre, primes_up_to
+from quatsplit.arith import euler_phi, factorize, is_prime, legendre, primes_up_to, require_prime
 from quatsplit.classify import Quadratic
 from quatsplit.cyclotomic import canonical_n, factorization_shape
 from quatsplit.errors import InvalidInputError, NonSquarefreeError
@@ -81,6 +81,19 @@ def test_legendre_rejects_bad_modulus():
     for p in (2, 9, 1, 0, -7, 15):
         with pytest.raises(InvalidInputError):
             legendre(3, p)
+    # a modulus past 2**64 is named as legendre's, not as is_prime's argument
+    with pytest.raises(InvalidInputError, match=r"^legendre modulus .* below 2\*\*64, got 18446744073709551629$") as info:
+        legendre(3, 2**64 + 13)
+    assert "is_prime" not in str(info.value)
+
+
+def test_require_prime_bounds_its_argument():
+    for p in (9, 1, 0, -7):
+        with pytest.raises(InvalidInputError, match=f"^expected a positive prime, got {p}$"):
+            require_prime(p)
+    with pytest.raises(InvalidInputError, match=r"^expected a prime below 2\*\*64, got 18446744073709551629$") as info:
+        require_prime(2**64 + 13)
+    assert "is_prime" not in str(info.value)
 
 
 def test_legendre_multiplicativity():

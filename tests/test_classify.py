@@ -230,12 +230,18 @@ def test_descriptors_check_themselves_when_made():
     with pytest.raises(InvalidInputError, match="below 2\\*\\*64") as info:
         Kummer(3, 41)
     assert not isinstance(info.value, BadModulusError)
+    with pytest.raises(InvalidInputError, match=r"^l must be a prime below 2\*\*64, got 18446744073709551629$") as info:
+        Kummer(2**64 + 13, 1)
+    assert not isinstance(info.value, BadModulusError) and "is_prime" not in str(info.value)
     with pytest.raises(InvalidInputError, match="distinct") as info:
         Biquadratic(5, 5)
     assert not isinstance(info.value, NonSquarefreeError)
     # Support is classify's question: Q(zeta_13) is a valid field that it refuses.
     with pytest.raises(UnsupportedFieldError):
         classify(Cyclotomic(13), 7, 3)
+    # and what is no descriptor at all, such as a field spec not yet parsed
+    with pytest.raises(UnsupportedFieldError, match="unrecognized field descriptor"):
+        classify("cyclotomic:7", 7, 3)
 
 
 def test_input_validation():

@@ -24,9 +24,13 @@ DYADIC = Place(2)
 def test_place_basics():
     assert str(Place(7)) == "7"
     assert str(INFINITE_PLACE) == "inf"
-    assert Place(7).is_finite and not INFINITE_PLACE.is_finite
-    with pytest.raises(InvalidInputError):
-        Place(6)
+    assert Place(7).prime == 7 and INFINITE_PLACE.prime is None
+    for prime in (6, 1, -7):
+        with pytest.raises(InvalidInputError):
+            Place(prime)
+    with pytest.raises(InvalidInputError, match=r"^finite places .* below 2\*\*64, got 18446744073709551629$") as info:
+        Place(2**64 + 13)
+    assert "is_prime" not in str(info.value)
 
 
 def test_infinite_place_sign_rule():
@@ -193,9 +197,12 @@ def test_fast_path_agrees_with_ramified_places():
     assert covered > 0
 
 
-def _symbols_by_hilbert_symbol(p, q):
-    """prime_pair_symbols(p, q) as hilbert_symbol computes the four symbols."""
-    return tuple(hilbert_symbol(p, q, place) for place in (DYADIC, Place(p), Place(q), INFINITE_PLACE))
+def _assert_symbols_match_hilbert_symbol(p, q):
+    """prime_pair_symbols(p, q) is hilbert_symbol at 2, p and q, and the place it omits,
+    infinity, does not ramify."""
+    expected = tuple(hilbert_symbol(p, q, place) for place in (DYADIC, Place(p), Place(q)))
+    assert prime_pair_symbols(p, q) == expected, (p, q)
+    assert hilbert_symbol(p, q, INFINITE_PLACE) == 1, (p, q)
 
 
 def test_prime_pair_symbols_match_hilbert_symbol():
@@ -203,7 +210,7 @@ def test_prime_pair_symbols_match_hilbert_symbol():
     for p in primes:
         for q in primes:
             if p != q:
-                assert prime_pair_symbols(p, q) == _symbols_by_hilbert_symbol(p, q), (p, q)
+                _assert_symbols_match_hilbert_symbol(p, q)
 
 
 # The largest prime below 2**64 is 2**64 - 59, so the next prime from here stays in range.
@@ -216,4 +223,4 @@ _PRIMES_64 = st.one_of(
 @settings(max_examples=300, deadline=None, database=None)
 @given(st.tuples(_PRIMES_64, _PRIMES_64).filter(lambda pair: pair[0] != pair[1]))
 def test_prime_pair_symbols_match_hilbert_symbol_64_bit(pair):
-    assert prime_pair_symbols(*pair) == _symbols_by_hilbert_symbol(*pair)
+    _assert_symbols_match_hilbert_symbol(*pair)

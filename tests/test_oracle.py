@@ -10,6 +10,7 @@ from quatsplit.classify import (
     Outcome,
     Quadratic,
     classify,
+    sweep_classifier,
 )
 from quatsplit.errors import EqualPrimesError, InternalInvariantError, UnsupportedFieldError
 from quatsplit.hilbert import INFINITE_PLACE, Place, ramified_places
@@ -55,10 +56,15 @@ def test_local_degree_biquadratic_matches_cyclotomic():
 
 
 def test_local_degree_kummer_unsupported():
-    with pytest.raises(UnsupportedFieldError):
+    """Kummer local degrees depend on the radicand, so local_degree refuses them; the
+    oracle answers for Kummer(l, k) as for Q(zeta_{l**k}), whose degrees have the same parity."""
+    with pytest.raises(UnsupportedFieldError, match="^no local degrees for kummer:3\\^1$"):
         local_degree(Kummer(3, 1), Place(7))
-    with pytest.raises(UnsupportedFieldError):
-        division_oracle(Kummer(3, 1), 7, 3)
+    for ell in (3, 7, 11, 19, 23):
+        for k in (1, 2):
+            kummer, cyclotomic = Kummer(ell, k), Cyclotomic(ell**k)
+            for p1, p2 in PAIRS_200:
+                assert division_oracle(kummer, p1, p2) is division_oracle(cyclotomic, p1, p2), (kummer, p1, p2)
 
 
 def test_division_oracle_pinned():
@@ -126,10 +132,12 @@ def test_oracle_agrees_with_quadratic_criterion():
             assert division_oracle(field, p1, p2) is expected, (d, p1, p2)
 
 
-# The fields of the golden reports; kummer:7^2 runs its oracle over cyclotomic:49, one of them.
-GOLDEN_FIELDS = [Quadratic(-5), Quadratic(17), Biquadratic(-1, 2), Biquadratic(-1, -3)] + [
-    Cyclotomic(n) for n in (3, 4, 5, 7, 8, 9, 11, 12, 19, 27, 49)
-]
+# The fields of the golden reports.
+GOLDEN_FIELDS = (
+    [Quadratic(-5), Quadratic(17), Biquadratic(-1, 2), Biquadratic(-1, -3)]
+    + [Cyclotomic(n) for n in (3, 4, 5, 7, 8, 9, 11, 12, 19, 27, 49)]
+    + [Kummer(7, 2)]
+)
 
 
 @pytest.mark.parametrize("field", GOLDEN_FIELDS, ids=str)
@@ -143,6 +151,33 @@ def test_sweep_oracle_matches_division_oracle(field):
             for p2 in sweep_primes:
                 if p1 != p2:
                     assert outcomes[code_of(p1, p2)] is division_oracle(field, p1, p2), (field, p1, p2)
+
+
+@pytest.mark.parametrize("field", [Cyclotomic(5), Cyclotomic(10)], ids=str)
+def test_prop39_is_exact_over_q_zeta_5(field):
+    """Prop 3.9 decides H(p1, p2) over Q(zeta_5) exactly, so every Unknown verdict is Split.
+
+    Only 2, p1 and p2 can ramify in H_Q(p1, p2).  A prime q != 5 has local
+    degree ord_5(q) in Q(zeta_5), which is odd only for q ≡ 1 (mod 5), and 5
+    has degree 4; so 2 never counts, and H(p1, p2) is a division algebra
+    exactly when some p_i ≡ 1 (mod 5) ramifies, which for such a p_i means
+    (p_j|p_i) = -1: Prop 3.9's condition in one argument order or the other.
+    Q(zeta_10) is the same field.  The verdicts stay Unknown: the paper
+    states the condition as sufficient only.
+    """
+    primes = primes_up_to(1000)
+    verdicts, code_of = sweep_classifier(field, primes)
+    outcomes, oracle_of = sweep_oracle(field, primes)
+    unknown = 0
+    for p1 in primes:
+        for p2 in primes:
+            if p1 != p2:
+                verdict = verdicts[code_of(p1, p2)].outcome
+                oracle = outcomes[oracle_of(min(p1, p2), max(p1, p2))]
+                assert verdict in (Outcome.DIVISION, Outcome.UNKNOWN), (p1, p2)
+                assert (verdict is Outcome.DIVISION) == (oracle is Outcome.DIVISION), (p1, p2)
+                unknown += verdict is Outcome.UNKNOWN
+    assert unknown > 0
 
 
 def test_invariant_failures_raise(monkeypatch):
