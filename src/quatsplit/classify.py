@@ -38,7 +38,6 @@ classify runs it on its own pair.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 from typing import NamedTuple, Union
@@ -46,6 +45,7 @@ from typing import NamedTuple, Union
 from . import arith, cyclotomic
 from .errors import BadModulusError, DisallowedValueError, EqualPrimesError, InvalidInputError
 from .errors import NonSquarefreeError, UnsupportedFieldError
+from .values import Value
 
 
 class Outcome(Enum):
@@ -64,11 +64,16 @@ class TraceStep(NamedTuple):
     fired: bool
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Value):
+    __slots__ = ("outcome", "certainty", "trace")
     outcome: Outcome
     certainty: Certainty
     trace: tuple[TraceStep, ...]
+
+    def __init__(self, outcome: Outcome, certainty: Certainty, trace: tuple[TraceStep, ...]) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "certainty", certainty)
+        object.__setattr__(self, "trace", trace)
 
     @property
     def fired(self) -> tuple[str, ...]:
@@ -83,65 +88,68 @@ class Verdict:
 # --- base-field descriptors -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quadratic:
+class Quadratic(Value):
     """Q(sqrt d) for squarefree d not in {0, 1}, with |d| < 2**64, which bounds the squarefree check."""
 
+    __slots__ = ("d",)
     d: int
 
-    def __post_init__(self) -> None:
-        if abs(self.d) > arith.UINT64_MAX:
-            raise InvalidInputError(f"d must be below 2**64 in absolute value, got {self.d}")
-        if self.d in (0, 1):
-            raise DisallowedValueError(f"d must not be 0 or 1, got {self.d}")
-        if any(e > 1 for _, e in arith.factorize(abs(self.d))):
-            raise NonSquarefreeError(f"d must be squarefree, got {self.d}")
+    def __init__(self, d: int) -> None:
+        if abs(d) > arith.UINT64_MAX:
+            raise InvalidInputError(f"d must be below 2**64 in absolute value, got {d}")
+        if d in (0, 1):
+            raise DisallowedValueError(f"d must not be 0 or 1, got {d}")
+        if any(e > 1 for _, e in arith.factorize(abs(d))):
+            raise NonSquarefreeError(f"d must be squarefree, got {d}")
+        object.__setattr__(self, "d", d)
 
     def __str__(self) -> str:
         return f"quadratic:{self.d}"
 
 
-@dataclass(frozen=True)
-class Biquadratic:
+class Biquadratic(Value):
     """Q(sqrt d1, sqrt d2) for distinct d1, d2, each a valid Quadratic d."""
 
+    __slots__ = ("d1", "d2")
     d1: int
     d2: int
 
-    def __post_init__(self) -> None:
-        Quadratic(self.d1)
-        Quadratic(self.d2)
-        if self.d1 == self.d2:
-            raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {self.d1} twice")
+    def __init__(self, d1: int, d2: int) -> None:
+        Quadratic(d1)
+        Quadratic(d2)
+        if d1 == d2:
+            raise InvalidInputError(f"biquadratic field needs distinct d1, d2, got {d1} twice")
+        object.__setattr__(self, "d1", d1)
+        object.__setattr__(self, "d2", d2)
 
     def __str__(self) -> str:
         return f"biquadratic:{self.d1},{self.d2}"
 
 
-@dataclass(frozen=True)
-class Cyclotomic:
+class Cyclotomic(Value):
     """Q(zeta_n) for 3 <= n < 2**64; n need not be canonical, nor supported by classify."""
 
+    __slots__ = ("n",)
     n: int
 
-    def __post_init__(self) -> None:
-        if self.n > arith.UINT64_MAX:
-            raise InvalidInputError(f"cyclotomic index must be below 2**64, got {self.n}")
-        cyclotomic.canonical_n(self.n)  # raises for n < 3
+    def __init__(self, n: int) -> None:
+        if n > arith.UINT64_MAX:
+            raise InvalidInputError(f"cyclotomic index must be below 2**64, got {n}")
+        cyclotomic.canonical_n(n)  # raises for n < 3
+        object.__setattr__(self, "n", n)
 
     def __str__(self) -> str:
         return f"cyclotomic:{self.n}"
 
 
-@dataclass(frozen=True)
-class Kummer:
+class Kummer(Value):
     """A Kummer extension of Q(zeta_{l**k}), for a prime l ≡ 3 (mod 4), k >= 1 and l**k < 2**64."""
 
+    __slots__ = ("ell", "k")
     ell: int
     k: int
 
-    def __post_init__(self) -> None:
-        ell, k = self.ell, self.k
+    def __init__(self, ell: int, k: int) -> None:
         if ell > arith.UINT64_MAX:
             raise InvalidInputError(f"l must be a prime below 2**64, got {ell}")
         if ell < 2 or not arith.is_prime(ell) or ell % 4 != 3:
@@ -151,6 +159,8 @@ class Kummer:
         # l >= 3, so k >= 64 is out of range anyway; testing k first avoids computing a huge l**k.
         if k >= 64 or ell**k > arith.UINT64_MAX:
             raise InvalidInputError(f"l**k must be below 2**64, got {ell}^{k}")
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "k", k)
 
     def __str__(self) -> str:
         return f"kummer:{self.ell}^{self.k}"

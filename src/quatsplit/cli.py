@@ -20,23 +20,25 @@ and reaped however the sweep ends. With --out it writes a new file beside the
 path and moves it there only when the report is complete, so an exit 5
 leaves the path as it was. On stdout an exit 5 can leave a partial CSV or
 JSON body (never a partial text body: its summary needs every pair).
+
+A command loads only what it runs: argparse is imported by build_parser,
+json and csv by the writers of those formats, and the workers module (which
+loads signal, struct and threading) by a sweep that forks.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import csv
 import io
-import json
 import os
 import stat
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from typing import TYPE_CHECKING
 
-from . import arith, cyclotomic, workers
+from . import arith, cyclotomic
 from .classify import (
     Biquadratic,
     Cyclotomic,
@@ -51,6 +53,9 @@ from .classify import (
 from .errors import BadModulusError, InternalInvariantError, InvalidInputError, UnsupportedFieldError
 from .hilbert import ramified_places
 from .oracle import sweep_oracle
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_BAD_ARGS = 2
@@ -107,12 +112,16 @@ def format_trace(verdict: Verdict) -> str:
 
 def _csv_body(rows: Iterable[Iterable[object]]) -> str:
     """rows as CSV, with "\n" line ends."""
+    import csv
+
     buffer = io.StringIO()
     csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
 
 
 def _json_body(payload: object) -> str:
+    import json
+
     return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
@@ -240,7 +249,11 @@ class SweepReport:
         # p2 < p1 half, column i above the diagonal, as one strided slice.
         square = bytearray(n * n)
         counts: Counter[tuple[int, int]] = Counter()
-        forked = workers.start(kernel, n) if n * (n - 1) >= WORKER_MIN_PAIRS else []
+        forked = []
+        if n * (n - 1) >= WORKER_MIN_PAIRS:
+            from . import workers
+
+            forked = workers.start(kernel, n)
         try:
             for i, p1 in enumerate(primes):
                 verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)]) if forked else kernel(i)
@@ -249,7 +262,8 @@ class SweepReport:
                 counts.update(code_pairs)
                 yield p1, primes[:i] + primes[i + 1 :], code_pairs
         finally:
-            workers.stop(forked)
+            if forked:
+                workers.stop(forked)
         self.pairs = self.agree = self.disagree = self.unknown = 0
         for pair, count in counts.items():
             outcome, _, _, agree, _ = self.cells[pair]
@@ -297,6 +311,8 @@ def render_report_csv(report: SweepReport) -> Iterator[str]:
 
 def render_report_json(report: SweepReport) -> Iterator[str]:
     """_json_body of {field, max_prime, rows, summary}, written as the rows arrive."""
+    import json
+
     head = _json_body({"field": str(report.field), "max_prime": report.max_prime, "rows": []})
     # head ends with '  "rows": []\n}\n'; the rows go between the brackets.
     yield head[: -len("]\n}\n")]
@@ -406,6 +422,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quatsplit",
         description="Decide whether quaternion algebras H(p1, p2) split or are division algebras "

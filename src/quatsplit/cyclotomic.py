@@ -7,20 +7,25 @@ is arithmetic on n, p mod n, and symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import arith
 from .errors import InvalidInputError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class FactorizationShape:
+class FactorizationShape(Value):
     """(e, f, g): ramification index, residual degree, number of primes over p."""
 
+    __slots__ = ("e", "f", "g")
     e: int
     f: int
     g: int
+
+    def __init__(self, e: int, f: int, g: int) -> None:
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
 
 def canonical_n(n: int) -> int:

@@ -13,21 +13,22 @@ where eps(u) = (u - 1)/2 mod 2 and omega(u) = (u**2 - 1)/8 mod 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import arith
 from .errors import InternalInvariantError, InvalidInputError
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """A place of Q: a finite prime, or the infinite (real) place as prime=None."""
 
+    __slots__ = ("prime",)
     prime: int | None
 
-    def __post_init__(self) -> None:
-        if self.prime is not None and not (2 <= self.prime <= arith.UINT64_MAX and arith.is_prime(self.prime)):
-            raise InvalidInputError(f"finite places carry a prime below 2**64, got {self.prime}")
+    def __init__(self, prime: int | None) -> None:
+        if prime is not None and not (2 <= prime <= arith.UINT64_MAX and arith.is_prime(prime)):
+            raise InvalidInputError(f"finite places carry a prime below 2**64, got {prime}")
+        object.__setattr__(self, "prime", prime)
 
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
@@ -105,13 +106,17 @@ def prime_pair_symbols(p: int, q: int) -> tuple[int, int, int]:
     return at_2, at_p, at_q
 
 
-@dataclass(frozen=True)
-class RamificationData:
+class RamificationData(Value):
     """Ramified places of H_Q(a, b); the reduced discriminant is the product
     of the finite ones (1 when none ramify, which happens iff H splits over Q)."""
 
+    __slots__ = ("ramified", "reduced_discriminant")
     ramified: tuple[Place, ...]
     reduced_discriminant: int
+
+    def __init__(self, ramified: tuple[Place, ...], reduced_discriminant: int) -> None:
+        object.__setattr__(self, "ramified", ramified)
+        object.__setattr__(self, "reduced_discriminant", reduced_discriminant)
 
 
 def ramified_places(a: int, b: int) -> RamificationData:

@@ -1025,6 +1025,46 @@ def test_module_entry_point():
     assert result.returncode == 0 and result.stdout == "[]\n", result.stderr
 
 
+_PRINT_MODULES = "\nimport sys\nprint(' '.join(sys.modules))"
+
+
+def _modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running code, less those it holds before.
+
+    Both interpreters run with the same environment, so what site imports cancels out.
+    """
+    loaded = []
+    for script in ("", code):
+        result = subprocess.run(
+            [sys.executable, "-c", script + _PRINT_MODULES], capture_output=True, text=True, env=_env_with_src()
+        )
+        assert result.returncode == 0, result.stderr
+        loaded.append(set(result.stdout.splitlines()[-1].split()))
+    return loaded[1] - loaded[0]
+
+
+@pytest.mark.parametrize(
+    "code, runs, unused",
+    [
+        ("import quatsplit.cli", "quatsplit.cli", {"dataclasses", "json", "csv", "argparse", "quatsplit.workers"}),
+        ("import quatsplit.classify, quatsplit.hilbert, quatsplit.oracle", "quatsplit.oracle", {"dataclasses"}),
+        (
+            "from quatsplit.cli import main\n"
+            "if main(['classify', '--field', 'cyclotomic:7', '--p', '3', '--q', '5']): raise SystemExit(1)",
+            "argparse",
+            {"dataclasses", "json", "csv", "quatsplit.workers"},
+        ),
+    ],
+    ids=["import cli", "import classify hilbert oracle", "classify"],
+)
+def test_modules_load_only_what_runs(code, runs, unused):
+    """A command loads only what it runs: no dataclasses anywhere, and json, csv,
+    argparse and the workers only where they are used."""
+    loaded = _modules_loaded_by(code)
+    assert runs in loaded
+    assert not loaded & unused, sorted(loaded & unused)
+
+
 def _odd_ramification(a, b, place):
     """A broken local symbol: -1 at 2 only, so one place ramifies."""
     return -1 if place.prime == 2 else 1
@@ -1112,8 +1152,9 @@ def test_worker_path_any_exception_exits_5(capsys, monkeypatch, sweep_workers):
 _KILLED_WORKER_SCRIPT = """
 import os, signal, sys
 import quatsplit.cli as cli
+import quatsplit.workers as workers
 cli.WORKER_MIN_PAIRS = 0
-cli.workers._usable_cpus = lambda: 2
+workers._usable_cpus = lambda: 2
 parent, real = os.getpid(), cli.sweep_oracle
 
 def dying_oracle(field, primes):
