@@ -12,14 +12,16 @@ unsupported field, 4 verify found disagreements (the report is still
 written), 5 an internal invariant failed (a defect in quatsplit, never a
 property of the input).
 
-verify streams its report as the pairs run. A sweep of WORKER_MIN_PAIRS
-pairs or more computes its rows in forked workers, one per usable CPU (see
-the workers module); there, any exception, and a worker that dies without a
-word, is exit 5 with "internal error: <message>", and every worker is killed
-and reaped however the sweep ends. With --out it writes a new file beside the
-path and moves it there only when the report is complete, so an exit 5
-leaves the path as it was. On stdout an exit 5 can leave a partial CSV or
-JSON body (never a partial text body: its summary needs every pair).
+verify streams its report as the pairs run, as UTF-8 bytes: to stdout's
+binary buffer (decoded for a stdout that has none, such as an io.StringIO),
+or to --out. A sweep of WORKER_MIN_PAIRS pairs or more computes its rows in
+forked workers, one per usable CPU (see the workers module); there, any
+exception, and a worker that dies without a word, is exit 5 with "internal
+error: <message>", and every worker is killed and reaped however the sweep
+ends. With --out it writes a new file beside the path and moves it there only
+when the report is complete, so an exit 5 leaves the path as it was. On
+stdout an exit 5 can leave a partial CSV or JSON body (never a partial text
+body: its summary needs every pair).
 
 A command loads only what it runs: argparse is imported by build_parser,
 json and csv by the writers of those formats, and the workers module (which
@@ -33,9 +35,9 @@ import io
 import os
 import stat
 import sys
-from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from functools import partial
+from operator import add
 from typing import TYPE_CHECKING
 
 from . import arith, cyclotomic
@@ -186,19 +188,21 @@ _COLUMNS = ("p1", "p2", "classify", "certainty", "oracle", "agree", "trace")
 class SweepReport:
     """A verify sweep that runs as it is iterated.
 
-    Both sides of the sweep answer in codes: a verdict code indexes the
-    field's verdict table, an oracle code the oracle's outcome table. cells
-    maps each (verdict code, oracle code) pair to the (classify, certainty,
-    oracle, agree, trace) cells of its rows, so a row is its two primes and
-    a code pair, and the tallies are counts of code pairs.
+    Both sides of the sweep answer in codes: a verdict code v indexes the
+    field's verdict table, an oracle code o the oracle's outcome table of k
+    outcomes. A row's cell code is c = v * k + o, one byte, and cells[c] holds
+    the (classify, certainty, oracle, agree, trace) cells of its rows, so a
+    row is its two primes and a cell code, and the tallies are counts of cell
+    codes.
 
     Iterating it runs the pair loop and yields one block per p1: (p1, the
-    other primes in ascending order, their code pairs), so no more than one
-    block is ever held. pairs, agree, disagree and unknown are the tallies of
-    the last iteration that completed: they are set when it completes, and 0
-    before. A sweep of WORKER_MIN_PAIRS pairs or more computes the codes in
-    forked workers (see the workers module), a smaller one in this process.
-    Either way the blocks are built here, from the same codes.
+    other primes in ascending order, their cell codes as one bytes object),
+    so no more than one block is ever held. pairs, agree, disagree and
+    unknown are the tallies of the last iteration that completed: they are
+    set when it completes, and 0 before. A sweep of WORKER_MIN_PAIRS pairs or
+    more computes the codes in forked workers (see the workers module), a
+    smaller one in this process. Either way the blocks are built here, from
+    the same codes.
     """
 
     def __init__(
@@ -213,24 +217,27 @@ class SweepReport:
     ):
         self.field = field
         self.max_prime = max_prime
+        self.primes = primes
         self.pairs = self.agree = self.disagree = self.unknown = 0
-        self.cells = {
-            (v, o): (
+        self.cells = tuple(
+            (
                 verdict.outcome.value,
                 verdict.certainty.value,
                 outcome.value,
                 verdict.outcome is outcome,
                 format_trace(verdict),
             )
-            for v, verdict in enumerate(verdicts)
-            for o, outcome in enumerate(outcomes)
-        }
-        self._primes = primes
+            for verdict in verdicts
+            for outcome in outcomes
+        )
+        if len(self.cells) > 256:  # a cell code is one byte
+            raise InternalInvariantError(f"{len(self.cells)} cell codes do not fit in a byte")
+        self._outcome_count = len(outcomes)
         self._code_of = code_of
         self._oracle_of = oracle_of
 
-    def __iter__(self) -> Iterator[tuple[int, list[int], list[tuple[int, int]]]]:
-        primes, code_of, oracle_of = self._primes, self._code_of, self._oracle_of
+    def __iter__(self) -> Iterator[tuple[int, list[int], bytes]]:
+        primes, code_of, oracle_of, k = self.primes, self._code_of, self._oracle_of, self._outcome_count
         n = len(primes)
 
         def kernel(i: int) -> tuple[bytes, bytes]:
@@ -248,7 +255,7 @@ class SweepReport:
         # i < j: row i writes its p2 > p1 half as one slice, and reads its
         # p2 < p1 half, column i above the diagonal, as one strided slice.
         square = bytearray(n * n)
-        counts: Counter[tuple[int, int]] = Counter()
+        counts = [0] * len(self.cells)
         forked = []
         if n * (n - 1) >= WORKER_MIN_PAIRS:
             from . import workers
@@ -258,15 +265,19 @@ class SweepReport:
             for i, p1 in enumerate(primes):
                 verdict_codes, oracle_codes = workers.receive(forked[i % len(forked)]) if forked else kernel(i)
                 square[i * n + i + 1 : (i + 1) * n] = oracle_codes
-                code_pairs = list(zip(verdict_codes, square[i : i * n : n] + oracle_codes))
-                counts.update(code_pairs)
-                yield p1, primes[:i] + primes[i + 1 :], code_pairs
+                # Every byte of v * k + o is below 256, so the sum of the two
+                # big-endian integers carries nothing from one byte to the next.
+                verdicts = int.from_bytes(verdict_codes, "big")
+                oracles = int.from_bytes(square[i : i * n : n] + oracle_codes, "big")
+                cells = (verdicts * k + oracles).to_bytes(n - 1, "big")
+                for c in range(len(counts)):
+                    counts[c] += cells.count(c)
+                yield p1, primes[:i] + primes[i + 1 :], cells
         finally:
             if forked:
                 workers.stop(forked)
         self.pairs = self.agree = self.disagree = self.unknown = 0
-        for pair, count in counts.items():
-            outcome, _, _, agree, _ = self.cells[pair]
+        for (outcome, _, _, agree, _), count in zip(self.cells, counts):
             self.pairs += count
             if outcome == Outcome.UNKNOWN.value:
                 self.unknown += count
@@ -290,68 +301,81 @@ def build_sweep_report(field: FieldDescriptor, max_prime: int) -> SweepReport:
     return SweepReport(field, max_prime, primes, verdicts, code_of, outcomes, oracle_of)
 
 
-# Each renderer yields the report body in chunks as the report's blocks pass,
-# so a body is never held whole: CSV and JSON one chunk per block, text one
-# chunk at the end, since its summary comes first and it keeps only the counts
-# and its few DISAGREE/UNCOVERED lines. Each formats the cells of each code
-# pair once; a row adds only its two primes.
+# Each renderer yields the report body as UTF-8 chunks as the report's blocks
+# pass, so a body is never held whole: CSV and JSON one chunk per block, text
+# one chunk at the end, since its summary comes first and it keeps only the
+# counts and its few DISAGREE/UNCOVERED lines. Each encodes the tail of each
+# cell code and the label of each prime once; a block is one join of labels
+# and tails, with no Python step per row.
 
 
-def render_report_csv(report: SweepReport) -> Iterator[str]:
-    field = _csv_body([(str(report.field),)])[:-1]  # the field cell, quoted as csv.writer quotes it
-    tails = {
-        pair: _csv_body([(outcome, certainty, oracle, "true" if agree else "false", trace)])
-        for pair, (outcome, certainty, oracle, agree, trace) in report.cells.items()
-    }
-    yield _csv_body([("field", *_COLUMNS)])
-    for p1, others, pairs in report:
-        lead = f"{field},{p1},"
-        yield "".join(f"{lead}{p2},{tails[pair]}" for p2, pair in zip(others, pairs))
+def _rows(labels: list[bytes], i: int, tails: list[bytes], cells: bytes) -> Iterator[bytes]:
+    """Block i's rows after their lead: each other prime's label, then the tail of its cell code."""
+    return map(add, labels[:i] + labels[i + 1 :], map(tails.__getitem__, cells))
 
 
-def render_report_json(report: SweepReport) -> Iterator[str]:
+def render_report_csv(report: SweepReport) -> Iterator[bytes]:
+    # the field cell, quoted as csv.writer quotes it
+    field = _csv_body([(str(report.field),)])[:-1].encode() + b","
+    tails = [
+        _csv_body([(outcome, certainty, oracle, "true" if agree else "false", trace)]).encode()
+        for outcome, certainty, oracle, agree, trace in report.cells
+    ]
+    labels = [b"%d," % p for p in report.primes]
+    yield _csv_body([("field", *_COLUMNS)]).encode()
+    for i, (p1, _, cells) in enumerate(report):
+        if cells:
+            lead = b"%s%d," % (field, p1)
+            yield lead + lead.join(_rows(labels, i, tails, cells))
+
+
+def render_report_json(report: SweepReport) -> Iterator[bytes]:
     """_json_body of {field, max_prime, rows, summary}, written as the rows arrive."""
     import json
 
     head = _json_body({"field": str(report.field), "max_prime": report.max_prime, "rows": []})
     # head ends with '  "rows": []\n}\n'; the rows go between the brackets.
-    yield head[: -len("]\n}\n")]
+    yield head[: -len("]\n}\n")].encode()
     # A row as json.dumps(..., indent=2) lays it out inside "rows": its p1 and
-    # p2 lines, then the tail of its code pair.
-    tails = {
-        pair: "".join(
-            f',\n      "{name}": {json.dumps(cell, ensure_ascii=False)}' for name, cell in zip(_COLUMNS[2:], cells)
-        )
-        + "\n    }"
-        for pair, cells in report.cells.items()
-    }
-    separator = "\n"
-    for p1, others, pairs in report:
-        if others:
-            lead = f'    {{\n      "p1": {p1},\n      "p2": '
-            yield separator + ",\n".join(f"{lead}{p2}{tails[pair]}" for p2, pair in zip(others, pairs))
-            separator = ",\n"
+    # p2 lines, then the tail of its cell code.
+    tails = [
+        (
+            "".join(
+                f',\n      "{name}": {json.dumps(cell, ensure_ascii=False)}' for name, cell in zip(_COLUMNS[2:], cells)
+            )
+            + "\n    }"
+        ).encode()
+        for cells in report.cells
+    ]
+    labels = [b"%d" % p for p in report.primes]
+    separator = b"\n"
+    for i, (p1, _, cells) in enumerate(report):
+        if cells:
+            lead = b'    {\n      "p1": %d,\n      "p2": ' % p1
+            yield separator + lead + (b",\n" + lead).join(_rows(labels, i, tails, cells))
+            separator = b",\n"
     summary = {"summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown}}
     # '{\n  "summary": ...' continues the payload after its rows.
-    yield ("]" if separator == "\n" else "\n  ]") + "," + _json_body(summary)[1:]
+    yield (("]" if separator == b"\n" else "\n  ]") + "," + _json_body(summary)[1:]).encode()
 
 
-def render_report_text(report: SweepReport) -> Iterator[str]:
+def render_report_text(report: SweepReport) -> Iterator[bytes]:
     """The summary, then the DISAGREE and UNCOVERED lines: the only rows kept."""
-    notes = {}  # code pair -> (the line's kind, its text after p2)
-    for pair, (outcome, _, oracle, agree, trace) in report.cells.items():
+    notes = {}  # cell code -> (the line's kind, its text after p2)
+    for c, (outcome, _, oracle, agree, trace) in enumerate(report.cells):
         if outcome != "Unknown":
             if not agree:
-                notes[pair] = ("DISAGREE", f" classify={outcome} oracle={oracle} trace={trace}")
+                notes[c] = (b"DISAGREE", f" classify={outcome} oracle={oracle} trace={trace}".encode())
         elif oracle == "Division":
             # division algebras the sufficient condition missed (informational)
-            notes[pair] = ("UNCOVERED", " oracle=Division")
+            notes[c] = (b"UNCOVERED", b" oracle=Division")
     lines = []
-    for p1, others, pairs in report:
-        for p2, pair in zip(others, pairs):
-            if pair in notes:
-                kind, tail = notes[pair]
-                lines.append(f"{kind} p1={p1} p2={p2}{tail}\n")
+    for p1, others, cells in report:
+        if any(c in cells for c in notes):
+            for p2, c in zip(others, cells):
+                if c in notes:
+                    kind, tail = notes[c]
+                    lines.append(b"%s p1=%d p2=%d%s\n" % (kind, p1, p2, tail))
     summary = {
         "field": report.field,
         "max_prime": report.max_prime,
@@ -360,13 +384,13 @@ def render_report_text(report: SweepReport) -> Iterator[str]:
         "disagree": report.disagree,
         "unknown": report.unknown,
     }
-    yield _text_body(summary.items()) + "".join(lines)
+    yield _text_body(summary.items()).encode() + b"".join(lines)
 
 
 _REPORT_RENDERERS = {"csv": render_report_csv, "json": render_report_json, "text": render_report_text}
 
 
-def _write_report(path: str, chunks: Iterable[str]) -> None:
+def _write_report(path: str, chunks: Iterable[bytes]) -> None:
     """Write chunks to a new file beside path, then move it onto path.
 
     Whatever stops the writing (an exit 5 mid-sweep, a full disk) removes the
@@ -382,11 +406,11 @@ def _write_report(path: str, chunks: Iterable[str]) -> None:
         except FileNotFoundError:
             mode = 0  # a new file
         if mode and not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
-            with open(target, "w", encoding="utf-8", newline="") as handle:
+            with open(target, "wb") as handle:
                 handle.writelines(chunks)
             return
         partial = f"{target}.{os.urandom(4).hex()}.tmp"
-        handle = open(partial, "x", encoding="utf-8", newline="")
+        handle = open(partial, "xb")
         try:
             with handle:
                 if stat.S_ISREG(mode):
@@ -413,8 +437,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"wrote {args.out}: pairs={report.pairs} agree={report.agree} "
                 f"disagree={report.disagree} unknown={report.unknown}\n"
             )
+        elif getattr(sys.stdout, "buffer", None) is None:  # an io.StringIO, as redirect_stdout may set
+            sys.stdout.writelines(chunk.decode() for chunk in chunks)
         else:
-            sys.stdout.writelines(chunks)
+            sys.stdout.flush()  # what stdout holds goes first
+            sys.stdout.buffer.writelines(chunks)
     return EXIT_DISAGREEMENTS if report.disagree else EXIT_OK
 
 

@@ -532,6 +532,17 @@ def test_verify_disagree_and_uncovered_bodies(capsys, monkeypatch, fmt):
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == FORCED_SHA256[fmt]
 
 
+def test_verify_cell_codes_fit_in_a_byte(capsys, monkeypatch):
+    """More (verdict, oracle outcome) pairs than one byte can code is exit 5, before any output."""
+    import quatsplit.cli as cli_module
+    from quatsplit.classify import Outcome
+
+    monkeypatch.setattr(cli_module, "sweep_oracle", lambda field, primes: ((Outcome.SPLIT,) * 256, lambda p1, p2: 0))
+    code, out, err = run_cli(capsys, "verify", "--field", "cyclotomic:7", "--max-prime", "20")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err.startswith("internal error: ") and err.endswith(" cell codes do not fit in a byte\n")
+
+
 def test_verify_unwritable_out(capsys, tmp_path):
     """A report path that cannot be opened is a bad argument, not a traceback."""
     for out_path in (tmp_path / "missing" / "x.csv", tmp_path):
@@ -542,8 +553,8 @@ def test_verify_unwritable_out(capsys, tmp_path):
         assert err.startswith(f"error: cannot write {out_path}")
 
 
-# verify cyclotomic:7 --format json at --max-prime 2 (one prime, no pairs)
-# and 3 (two rows): the edges of the streamed JSON body.
+# verify cyclotomic:7 at --max-prime 2 (one prime, so one empty block) and 3
+# (two rows): the edges of each streamed body.
 JSON_EDGE_BODIES = {
     2: """{
   "field": "cyclotomic:7",
@@ -589,13 +600,73 @@ JSON_EDGE_BODIES = {
 }
 
 
-@pytest.mark.parametrize("max_prime", sorted(JSON_EDGE_BODIES))
-def test_verify_json_edge_bodies(capsys, max_prime):
+_CSV_HEADER = "field,p1,p2,classify,certainty,oracle,agree,trace\n"
+_EDGE_ROWS = (
+    "cyclotomic:7,2,3,Division,Exact,Division,true,prop3.3/case2:hit\n"
+    "cyclotomic:7,3,2,Division,Exact,Division,true,prop3.3/case2:hit\n"
+)
+EDGE_BODIES = {
+    "json": JSON_EDGE_BODIES,
+    "csv": {2: _CSV_HEADER, 3: _CSV_HEADER + _EDGE_ROWS},
+    "text": {
+        max_prime: f"field: cyclotomic:7\nmax_prime: {max_prime}\npairs: {pairs}\nagree: {pairs}\n"
+        "disagree: 0\nunknown: 0\n"
+        for max_prime, pairs in ((2, 0), (3, 2))
+    },
+}
+
+
+def _assert_edge_body(capsys, fmt, max_prime):
     code, out, _ = run_cli(
-        capsys, "verify", "--field", "cyclotomic:7", "--max-prime", str(max_prime), "--format", "json"
+        capsys, "verify", "--field", "cyclotomic:7", "--max-prime", str(max_prime), "--format", fmt
     )
     assert code == EXIT_OK
-    assert out == JSON_EDGE_BODIES[max_prime]
+    assert out == EDGE_BODIES[fmt][max_prime]
+
+
+@pytest.mark.parametrize("max_prime", sorted(JSON_EDGE_BODIES))
+def test_verify_json_edge_bodies(capsys, max_prime):
+    _assert_edge_body(capsys, "json", max_prime)
+
+
+@pytest.mark.parametrize("fmt, max_prime", [(fmt, max_prime) for fmt in ("csv", "text") for max_prime in (2, 3)])
+def test_verify_edge_bodies(capsys, fmt, max_prime):
+    """The CSV body of one prime is its header alone: its one block is empty and writes nothing."""
+    _assert_edge_body(capsys, fmt, max_prime)
+
+
+# sha256 of `verify --field kummer:7^2 --max-prime 300` in each format, as in
+# tests/test_golden.py. The CSV and JSON rows carry "≡" and "→"; the text body
+# is its summary alone, since every row agrees.
+_GOLDEN_KUMMER_7_2_300 = {
+    "csv": "33a485e07f6217ff907dcaaa37b31ad91ee8de299f332abaa4a5297f8b0339d8",
+    "json": "1de1052a9a4fd5e041fa46b0cc90d98fc13d97c242068817e683e8c74c143d13",
+    "text": "6699369edb54bca745acda1a6a56302ced65cbef657a5cea342bfc94fc0b24e1",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_GOLDEN_KUMMER_7_2_300))
+def test_verify_to_a_stdout_without_a_buffer(fmt):
+    """A stdout with no binary buffer (an io.StringIO) gets the body decoded, the same UTF-8 bytes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "--field", "kummer:7^2", "--max-prime", "300", "--format", fmt])
+    assert code == EXIT_OK
+    body = out.getvalue().encode("utf-8")
+    assert body.isascii() == (fmt == "text")
+    assert hashlib.sha256(body).hexdigest() == _GOLDEN_KUMMER_7_2_300[fmt]
+
+
+def test_verify_stdout_is_utf8_whatever_its_encoding(tmp_path):
+    """stdout gets the UTF-8 bytes --out gets, even where its text encoding cannot encode "→"."""
+    argv = [sys.executable, "-m", "quatsplit", "verify", "--field", "kummer:7^2", "--max-prime", "20"]
+    argv += ["--format", "csv"]
+    env = {**_env_with_src(), "PYTHONIOENCODING": "ascii"}
+    result = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+    assert result.returncode == EXIT_OK, result.stderr
+    out_path = tmp_path / "report.csv"
+    subprocess.run([*argv, "--out", str(out_path)], check=True, capture_output=True, env=env, timeout=60)
+    assert "→".encode() in result.stdout and result.stdout == out_path.read_bytes()
 
 
 def _failing_oracle(field, primes):
@@ -726,13 +797,13 @@ def test_verify_round_trip(request, field, forked):
                     }
                 )
     blocks = list(report)
-    # one block per p1: the other primes in ascending order, one code pair each
+    # one block per p1: the other primes in ascending order, one cell code each
     assert [(p1, others) for p1, others, _ in blocks] == [(p1, [p2 for p2 in primes if p2 != p1]) for p1 in primes]
-    assert all(len(pairs) == len(others) for _, others, pairs in blocks)
+    assert all(type(cells) is bytes and len(cells) == len(others) for _, others, cells in blocks)
     rows = [
-        dict(zip(expected[0], (p1, p2, *report.cells[pair])))
-        for p1, others, pairs in blocks
-        for p2, pair in zip(others, pairs)
+        dict(zip(expected[0], (p1, p2, *report.cells[cell])))
+        for p1, others, cells in blocks
+        for p2, cell in zip(others, cells)
     ]
     assert rows == expected
     assert all(type(row["agree"]) is bool for row in rows)
@@ -747,7 +818,7 @@ def test_verify_round_trip(request, field, forked):
         "rows": expected,
         "summary": {"agree": report.agree, "disagree": report.disagree, "unknown": report.unknown},
     }
-    assert "".join(render_report_json(report)) == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+    assert b"".join(render_report_json(report)).decode() == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
     # the streamed CSV is csv.writer's, field cell quoting included; rendering
     # again is pure, and each iteration starts the tallies again
     buffer = io.StringIO()
@@ -755,7 +826,7 @@ def test_verify_round_trip(request, field, forked):
     writer.writerow(["field", *expected[0]])
     for row in expected:
         writer.writerow([str(field), *{**row, "agree": "true" if row["agree"] else "false"}.values()])
-    assert "".join(render_report_csv(report)) == buffer.getvalue()
+    assert b"".join(render_report_csv(report)).decode() == buffer.getvalue()
     assert report.pairs == len(rows)
 
 
@@ -1118,8 +1189,9 @@ def test_worker_path_forced_bodies(capsys, monkeypatch, sweep_workers, fmt):
 
 @pytest.mark.parametrize("max_prime", sorted(JSON_EDGE_BODIES))
 def test_worker_path_json_edge_bodies(capsys, sweep_workers, max_prime):
-    """One prime (no pairs) and two: no more rows than workers."""
-    test_verify_json_edge_bodies(capsys, max_prime)
+    """One prime (no pairs) and two: no more rows than workers. Every format's body, JSON's first."""
+    for fmt in EDGE_BODIES:
+        _assert_edge_body(capsys, fmt, max_prime)
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
